@@ -11,6 +11,7 @@ changing any output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -40,9 +41,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):  # reached only after --help is printed
+        raise _HelpShown
 
 
 def _coords(text: str) -> tuple[int, ...]:
@@ -144,7 +152,14 @@ def build_parser() -> _Parser:
 
 
 def _read_doc(path: str, stdin) -> dict:
-    text = stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    try:
+        if path == "-":
+            text = stdin.read()
+        else:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(str(exc)) from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -241,9 +256,17 @@ def _load_matrices(path: str, stdin):
         doc = [doc["matrix"]]
     if not isinstance(doc, list):
         raise _UsageError("isometry file must hold a matrix or a list of matrices")
-    if doc and doc[0] and isinstance(doc[0][0], (int, bool)):
+    if doc and isinstance(doc[0], list) and doc[0] and _is_int(doc[0][0]):
         doc = [doc]  # a single bare matrix
+    for m in doc:
+        if not (isinstance(m, list)
+                and all(isinstance(row, list) and all(map(_is_int, row)) for row in m)):
+            raise _UsageError("each isometry must be a list of integer rows")
     return doc
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _cmd_oracle_invariance(args, workers, stdin):
@@ -344,13 +367,13 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     stdin = stdin if stdin is not None else sys.stdin
     try:
-        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(stdout):  # argparse prints --help to sys.stdout
+            args = build_parser().parse_args(argv)
         workers = _workers()
         doc, code = _HANDLERS[args.command](args, workers, stdin)
+    except _HelpShown:
+        return 0
     except _UsageError as exc:
-        print(f"error: {exc}", file=stderr)
-        return 1
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=stderr)
         return 1
     except LatticeError as exc:

@@ -91,3 +91,7 @@ class OddNormInEvenLattice(LatticeError):
 
 class LabelParityMismatch(LatticeError):
     pass
+
+
+class NegativeCount(LatticeError):
+    pass

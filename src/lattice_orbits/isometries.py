@@ -9,22 +9,30 @@ reflections in short vectors (precomputed pools), hyperbolic block swaps,
 global negation, and (on even lattices) transvections along an isotropic basis
 vector of the unimodular hyperbolic block. Sampling is reproducible: the same
 seed and length give the same matrix.
+
+A word is composed from checked generators and certified once, at the end.
+Each pool reflection is certified when the pool is built, each transvection's
+preconditions are checked when it is drawn, and every step is applied to the
+word as a sparse row update (a row swap, a sign flip, or a low-rank update of
+the rows it moves). The finished matrix then goes through Isometry like any
+other, so every matrix a caller can apply is still a certified isometry.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from . import matrix as intmat
 from .enumeration import short_vectors_definite
 from .errors import (
     IsotropicReflectionVector,
     LatticeMismatch,
+    NegativeCount,
     NoGeneratorRecipe,
     NotIntegralReflection,
     NotIsometry,
@@ -33,7 +41,7 @@ from .errors import (
     OddLattice,
     RankMismatch,
 )
-from .lattices import Lattice, inner, is_even, resolve
+from .lattices import I_NAME, Lattice, inner, is_even, resolve
 from .vectors import LatticeVector
 
 
@@ -88,6 +96,24 @@ def negation(lattice: Lattice) -> Isometry:
     )
 
 
+def _reflection_coeffs(lattice: Lattice, delta: tuple[int, ...]) -> list[int]:
+    """2<e_i, delta>/<delta, delta> for every basis vector e_i, checked integral."""
+    if len(delta) != lattice.rank:
+        raise RankMismatch(f"expected {lattice.rank} coordinates")
+    nd = inner(lattice, delta, delta)
+    if nd == 0:
+        raise IsotropicReflectionVector("cannot reflect in an isotropic vector")
+    coeffs = []
+    for i, gd in enumerate(intmat.mat_vec(lattice.gram, delta)):
+        twice = 2 * gd
+        if twice % nd != 0:
+            raise NotIntegralReflection(
+                f"2<e_{i}, delta> = {twice} is not divisible by <delta, delta> = {nd}"
+            )
+        coeffs.append(twice // nd)
+    return coeffs
+
+
 def reflection(lattice: Lattice, delta) -> Isometry:
     """Reflection in a non-isotropic vector, when it is integral on the lattice.
 
@@ -95,25 +121,27 @@ def reflection(lattice: Lattice, delta) -> Isometry:
     every basis vector before the matrix is assembled.
     """
     delta = tuple(int(x) for x in delta)
-    if len(delta) != lattice.rank:
-        raise RankMismatch(f"expected {lattice.rank} coordinates")
-    nd = inner(lattice, delta, delta)
-    if nd == 0:
-        raise IsotropicReflectionVector("cannot reflect in an isotropic vector")
-    gdelta = intmat.mat_vec(lattice.gram, delta)
-    coeffs = []
-    for i in range(lattice.rank):
-        twice = 2 * gdelta[i]
-        if twice % nd != 0:
-            raise NotIntegralReflection(
-                f"2<e_{i}, delta> = {twice} is not divisible by <delta, delta> = {nd}"
-            )
-        coeffs.append(twice // nd)
+    coeffs = _reflection_coeffs(lattice, delta)
     rows = tuple(
         tuple((1 if r == cidx else 0) - coeffs[cidx] * delta[r] for cidx in range(lattice.rank))
         for r in range(lattice.rank)
     )
     return Isometry(lattice, rows)
+
+
+def _transvection_terms(lattice: Lattice, e, x):
+    """G e, G x and <x,x>/2 for the transvection along e and x, after its checks."""
+    if not is_even(lattice):
+        raise OddLattice("transvections need an even lattice")
+    if len(e) != lattice.rank or len(x) != lattice.rank:
+        raise RankMismatch(f"expected {lattice.rank} coordinates")
+    ge = intmat.mat_vec(lattice.gram, e)
+    if sum(a * b for a, b in zip(e, ge)) != 0:
+        raise NotIsotropic("e must be isotropic")
+    if sum(a * b for a, b in zip(x, ge)) != 0:
+        raise NotOrthogonal("x must be orthogonal to e")
+    gx = intmat.mat_vec(lattice.gram, x)
+    return ge, gx, sum(a * b for a, b in zip(x, gx)) // 2
 
 
 def transvection(lattice: Lattice, e, x) -> Isometry:
@@ -122,19 +150,9 @@ def transvection(lattice: Lattice, e, x) -> Isometry:
     Needs an even lattice, isotropic e, and x orthogonal to e; then the matrix
     is integral and certifies.
     """
-    if not is_even(lattice):
-        raise OddLattice("transvections need an even lattice")
     e = tuple(int(c) for c in e)
     x = tuple(int(c) for c in x)
-    if len(e) != lattice.rank or len(x) != lattice.rank:
-        raise RankMismatch(f"expected {lattice.rank} coordinates")
-    if inner(lattice, e, e) != 0:
-        raise NotIsotropic("e must be isotropic")
-    if inner(lattice, e, x) != 0:
-        raise NotOrthogonal("x must be orthogonal to e")
-    half = inner(lattice, x, x) // 2
-    ge = intmat.mat_vec(lattice.gram, e)
-    gx = intmat.mat_vec(lattice.gram, x)
+    ge, gx, half = _transvection_terms(lattice, e, x)
     rows = tuple(
         tuple(
             (1 if r == c else 0) - gx[c] * e[r] + ge[c] * x[r] - half * ge[c] * e[r]
@@ -173,7 +191,6 @@ _RECIPES = {
     "U_I11": _Recipe(((0, 1), (2, 3)), (), (0,), None),
 }
 
-_I_NAME = re.compile(r"I_(\d+)_(\d+)")
 _REFLECTION_NORMS = (-1, 1, -2, 2, -4, 4)
 _POOL_BOX = 3
 
@@ -182,8 +199,7 @@ def _recipe_for(lattice: Lattice) -> _Recipe:
     known = _RECIPES.get(lattice.name)
     if known is not None and resolve(lattice.name) == lattice:
         return known
-    m = _I_NAME.fullmatch(lattice.name)
-    if m and resolve(lattice.name) == lattice:
+    if I_NAME.fullmatch(lattice.name) and resolve(lattice.name) == lattice:
         idx = range(lattice.rank)
         windows = tuple((i,) for i in idx) + tuple((i, j) for i in idx for j in idx if i < j)
         return _Recipe(windows, (), (), None)
@@ -221,8 +237,25 @@ def _reflection_candidates(lattice: Lattice, recipe: _Recipe):
             break  # smallest usable norm is enough; deeper shells add thousands
 
 
+_Terms = list[tuple[int, int]]  # (index, value) pairs of a vector's nonzero entries
+# A sparse step: the matrix I + sum of u v^T over its (u, v) pairs. Applied to
+# a word on the left, it rewrites only the rows where some u is nonzero.
+_RowUpdate = tuple[tuple[_Terms, _Terms], ...]
+
+
+def _nonzero(values) -> _Terms:
+    # a list, not tuple(generator): CPython resizes such tuples, which fills the
+    # free list of every length a word step produces (about 1 MB held on Lminus)
+    return [(i, x) for i, x in enumerate(values) if x]
+
+
+class _PoolReflection(NamedTuple):
+    delta: tuple[int, ...]
+    update: _RowUpdate  # I - delta c^T, with c the reflection coefficients
+
+
 @lru_cache(maxsize=None)
-def _generator_pool(lattice: Lattice) -> tuple[Isometry, ...]:
+def _generator_pool(lattice: Lattice) -> tuple[_PoolReflection, ...]:
     """Certified reflections for the lattice, deterministic order, sign-deduped."""
     recipe = _recipe_for(lattice)
     pool = []
@@ -242,24 +275,51 @@ def _generator_pool(lattice: Lattice) -> tuple[Isometry, ...]:
         if inner(lattice, canonical, canonical) not in _REFLECTION_NORMS:
             continue
         try:
-            pool.append(reflection(lattice, canonical))
+            coeffs = _reflection_coeffs(lattice, canonical)
         except (IsotropicReflectionVector, NotIntegralReflection):
             continue
+        reflection(lattice, canonical)  # certifies the matrix the update stands for
+        minus_delta = _nonzero(-d for d in canonical)
+        pool.append(_PoolReflection(canonical, ((minus_delta, _nonzero(coeffs)),)))
     return tuple(pool)
 
 
-def _random_transvection(lattice: Lattice, start: int, rng: random.Random) -> Isometry:
+def _random_transvection(lattice: Lattice, start: int, rng: random.Random) -> _RowUpdate:
     which = rng.choice((0, 1))
     e = [0] * lattice.rank
     e[start + which] = 1
     partner = start + (1 - which)
     x = [rng.randint(-2, 2) for _ in range(lattice.rank)]
     x[partner] = 0  # kills <x, e>
-    return transvection(lattice, e, x)
+    ge, gx, half = _transvection_terms(lattice, e, x)
+    # the transvection matrix is I + (x - half e) ge^T - e gx^T
+    return (
+        (_nonzero(a - half * b for a, b in zip(x, e)), _nonzero(ge)),
+        (_nonzero(-b for b in e), _nonzero(gx)),
+    )
+
+
+def _apply_update(word: list[list[int]], update: _RowUpdate) -> None:
+    """word <- (I + sum of u v^T) word, in place."""
+    combos = []
+    for u, v in update:
+        acc = [0] * len(word)
+        for c, k in v:
+            acc = [a + k * w for a, w in zip(acc, word[c])]
+        combos.append((u, acc))
+    for u, acc in combos:
+        for r, k in u:
+            word[r] = [w + k * a for w, a in zip(word[r], acc)]
 
 
 def sample_word(lattice: Lattice, seed: int, length: int) -> Isometry:
-    """Deterministic product of `length` random generators; length 0 is the identity."""
+    """Deterministic product of `length` random generators; length 0 is the identity.
+
+    The product is accumulated as mutable rows, one sparse update per step, and
+    certified once when the Isometry is built.
+    """
+    if length < 0:
+        raise NegativeCount(f"word length must be non-negative, got {length}")
     recipe = _recipe_for(lattice)
     pool = _generator_pool(lattice)
     kinds = []
@@ -271,16 +331,16 @@ def sample_word(lattice: Lattice, seed: int, length: int) -> Isometry:
         kinds.append("swap")
     kinds.append("negation")
     rng = random.Random(seed)
-    word = intmat.identity(lattice.rank)
-    for _ in range(length):
+    word = [list(row) for row in intmat.identity(lattice.rank)]
+    for _ in range(length):  # word <- step . word
         kind = rng.choice(kinds)
         if kind == "reflection":
-            step = rng.choice(pool)
+            _apply_update(word, rng.choice(pool).update)
         elif kind == "transvection":
-            step = _random_transvection(lattice, recipe.transvection_block, rng)
+            _apply_update(word, _random_transvection(lattice, recipe.transvection_block, rng))
         elif kind == "swap":
-            step = block_swap(lattice, rng.choice(recipe.swap_blocks))
+            s = rng.choice(recipe.swap_blocks)
+            word[s], word[s + 1] = word[s + 1], word[s]
         else:
-            step = negation(lattice)
-        word = intmat.mat_mul(step.matrix, word)
-    return Isometry(lattice, word)
+            word = [[-w for w in row] for row in word]
+    return Isometry(lattice, tuple(map(tuple, word)))

@@ -239,7 +239,7 @@ _BUILDERS = {
     "E8_U_I11": lambda: base_plus_i11(_make_e8_u(), name="E8_U_I11"),
 }
 
-_I_NAME = re.compile(r"I_(\d+)_(\d+)")
+I_NAME = re.compile(r"I_(\d+)_(\d+)")
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +248,7 @@ def resolve(name: str) -> Lattice:
     builder = _BUILDERS.get(name)
     if builder is not None:
         return builder()
-    m = _I_NAME.fullmatch(name)
+    m = I_NAME.fullmatch(name)
     if m:
         return make_i(int(m.group(1)), int(m.group(2)))
     raise UnknownLattice(f"no built-in lattice named {name!r}")

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from itertools import product
 
 from .enumeration import box_vectors, short_vectors_definite
-from .errors import LabelParityMismatch, LatticeShapeMismatch, OddNormInEvenLattice
+from .errors import (
+    LabelParityMismatch,
+    LatticeShapeMismatch,
+    NegativeCount,
+    OddNormInEvenLattice,
+)
 from .isometries import Isometry, apply, certify, sample_word
 from .lattices import Lattice, resolve
 from .orbits import OrbitLabel, classify, representative
@@ -98,6 +103,12 @@ def enumerate_primitive(
     return BoxScan(lattice, bound, norm, tuple(collected))
 
 
+def _check_counts(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 0:
+            raise NegativeCount(f"{name} must be non-negative, got {value}")
+
+
 def random_primitive(lattice: Lattice, rng: random.Random, bound: int) -> LatticeVector:
     """Random primitive vector with coordinates in [-bound, bound]."""
     while True:
@@ -122,6 +133,7 @@ def invariance_suite(
     explicit matrices go through certification first, so a corrupted one is
     refused before anything runs.
     """
+    _check_counts(samples=samples, word_length=word_length)
     extra = tuple(certify(lattice, m) for m in isometries or ())
     rng = random.Random(seed)
     stats = {
@@ -206,6 +218,7 @@ def connectivity_experiment(
     Connectivity itself is only suggestive: more walks can still merge
     components.
     """
+    _check_counts(walks=walks, word_length=word_length)
     scan = enumerate_primitive(lattice, bound, norm, workers)
     uf = _UnionFind()
     labels = {}

@@ -83,6 +83,29 @@ def test_classify_flag_validation():
     assert run_cli(["classify", "--from-json", "-"], stdin_text="not json")[0] == 1
 
 
+def test_classify_unreadable_json_file(tmp_path, monkeypatch):
+    code, out, err = run_cli(["classify", "--from-json", str(tmp_path)])
+    assert (code, out) == (1, "") and err.startswith("error: ") and "directory" in err
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"coords": [1, 2] \xff}')
+    code, out, err = run_cli(["classify", "--from-json", str(path)])
+    assert (code, out) == (1, "") and err.startswith("error: ") and "utf-8" in err
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("lattice_orbits.cli.open", refuse, raising=False)
+    code, out, err = run_cli(["classify", "--from-json", str(path)])
+    assert (code, out) == (1, "") and err.startswith("error: ") and "Permission denied" in err
+
+
+def test_classify_missing_json_file(tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(["classify", "--from-json", str(missing)])
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_classify_domain_errors():
     code, out, _ = run_cli(["classify", "--coords", "0,0,0,0,0,0,0,0,0,0,2,4"])
     assert code == 2
@@ -224,6 +247,44 @@ def test_oracle_invariance_rejects_corrupt_matrix(tmp_path):
     assert json.loads(out)["error"] == "NotIsometry"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"matrix": 5},
+        {"matrix": [[1, 0], 7]},
+        [[1, 0], [0, "1"]],
+        [[[1, 0], [0, 1.0]]],
+        [[True, False], [False, True]],
+        [3],
+        [None],
+    ],
+)
+def test_oracle_invariance_rejects_malformed_isometry_file(tmp_path, doc):
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        ["oracle-invariance", "--lattice", "U2U", "--samples", "5", "--isometry-json", str(path)]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-invariance", "--word-length", "-3"],
+        ["oracle-invariance", "--samples", "-2"],
+        ["oracle-connectivity", "--norm", "2", "--walks", "-1"],
+    ],
+)
+def test_negative_counts_are_domain_errors(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2 and err == ""
+    doc = json.loads(out)
+    check_schema(doc, "error.schema.json")
+    assert doc["error"] == "NegativeCount"
+
+
 def test_oracle_connectivity_deterministic():
     argv = [
         "oracle-connectivity",
@@ -306,3 +367,13 @@ def test_module_entry_keeps_prog_name(package_env):
     proc = run_module(["--help"], package_env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: lattice-orbits ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"], ["oracle-wall", "-h"]])
+def test_help_returns_to_caller(argv, package_env, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help at the terminal width
+    code, out, err = run_cli(argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: lattice-orbits ")
+    proc = run_module(argv, {**package_env, "COLUMNS": "100"})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

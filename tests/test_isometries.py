@@ -1,10 +1,15 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lattice_orbits import isometries
 from lattice_orbits.errors import (
     IsotropicReflectionVector,
     LatticeMismatch,
+    NegativeCount,
     NoGeneratorRecipe,
     NotIntegralReflection,
     NotIsometry,
@@ -24,7 +29,7 @@ from lattice_orbits.isometries import (
     sample_word,
     transvection,
 )
-from lattice_orbits.lattices import resolve
+from lattice_orbits.lattices import is_even, resolve
 from lattice_orbits.matrix import identity as eye
 from lattice_orbits.vectors import is_primitive, norm, pair, vec, vector_type
 
@@ -170,3 +175,116 @@ def test_no_recipe():
         sample_word(resolve("Lambda"), 1, 3)
     with pytest.raises(NoGeneratorRecipe):
         sample_word(resolve("E8"), 1, 3)
+
+
+def test_sample_word_rejects_negative_length():
+    with pytest.raises(NegativeCount):
+        sample_word(LMINUS, 1, -1)
+
+
+# sha256 over f"{seed} {length} {matrix!r}\n" for seeds 0-49 and lengths 0, 1, 4,
+# 8, 16, recorded from the dense per-step product that sample_word computed
+# before words were composed as sparse row updates
+PINNED_WORD_DIGESTS = {
+    "Lminus": "bc198cb38342549b8d6e7c3eb4c07eb99cba66725d7c0a4cccefc6e784df4e44",
+    "U2U": "b55a8d4ed5f8309d033869861df8eca432e4ad2e7de65616a2bc13a030ef64be",
+    "U_I11": "3cea26b5c43b3a27de37d770e7eaae8423494e74da062efb9d0fc37afe0d230e",
+    "E8_U_I11": "feb023b59c874970dad6d08412a746011df6f9e6b38a0e17eec094b504914ab0",
+    "I_2_2": "3db915436893b0b712025b9b121704d6eda74bc51e117f12aa4bc2db273ae8c6",
+    "I_1_2": "f0c131c754550a5e1bb98e2ecbefdc3d4b117b6703627203d437c0e37dd01e4a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WORD_DIGESTS))
+def test_sample_word_pinned_digest(name):
+    lattice = resolve(name)
+    digest = hashlib.sha256()
+    for seed in range(50):
+        for length in (0, 1, 4, 8, 16):
+            digest.update(f"{seed} {length} {sample_word(lattice, seed, length).matrix!r}\n".encode())
+    assert digest.hexdigest() == PINNED_WORD_DIGESTS[name]
+
+
+def dense_word(lattice, seed, length):
+    """The word as a dense product of certified public generators.
+
+    Draws the RNG in the same order as sample_word: the kind, then the pool
+    entry, the transvection's (which, x) or the swap block.
+    """
+    recipe = isometries._recipe_for(lattice)
+    pool = [reflection(lattice, entry.delta) for entry in isometries._generator_pool(lattice)]
+    kinds = []
+    if pool:
+        kinds.append("reflection")
+    if recipe.transvection_block is not None and is_even(lattice):
+        kinds.append("transvection")
+    if recipe.swap_blocks:
+        kinds.append("swap")
+    kinds.append("negation")
+    rng = random.Random(seed)
+    n = lattice.rank
+    word = identity(lattice)
+    for _ in range(length):
+        kind = rng.choice(kinds)
+        if kind == "reflection":
+            step = rng.choice(pool)
+        elif kind == "transvection":
+            start = recipe.transvection_block
+            which = rng.choice((0, 1))
+            e = [0] * n
+            e[start + which] = 1
+            x = [rng.randint(-2, 2) for _ in range(n)]
+            x[start + 1 - which] = 0
+            step = transvection(lattice, e, x)
+        elif kind == "swap":
+            step = block_swap(lattice, rng.choice(recipe.swap_blocks))
+        else:
+            step = negation(lattice)
+        word = compose(step, word)
+    return word.matrix
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(PINNED_WORD_DIGESTS)),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(0, 20),
+)
+def test_sample_word_matches_dense_product(name, seed, length):
+    lattice = resolve(name)
+    assert sample_word(lattice, seed, length).matrix == dense_word(lattice, seed, length)
+
+
+def test_warm_sample_word_certifies_once(monkeypatch):
+    sample_word(LMINUS, 0, 1)  # builds and certifies the reflection pool
+    certified = []
+    post_init = Isometry.__post_init__
+
+    def counted(self):
+        certified.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Isometry, "__post_init__", counted)
+    for seed, length in ((3, 0), (4, 1), (5, 8), (6, 16), (7, 40)):
+        certified.clear()
+        word = sample_word(LMINUS, seed, length)
+        assert certified == [word]
+
+
+def test_corrupt_sparse_step_is_refused(monkeypatch):
+    real = isometries._apply_update
+    corrupted = []
+
+    def flip_one_row_once(word, update):
+        real(word, update)
+        if not corrupted:
+            row = update[0][0][0][0]  # first row the step moves
+            word[row] = [-w for w in word[row]]  # det stays +-1; only the form check sees it
+            corrupted.append(row)
+
+    monkeypatch.setattr(isometries, "_apply_update", flip_one_row_once)
+    for seed in range(5):
+        corrupted.clear()
+        with pytest.raises(NotIsometry):
+            sample_word(LMINUS, seed, 16)
+        assert corrupted  # the word did contain a sparse step

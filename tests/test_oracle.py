@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lattice_orbits.errors import NotIsometry
+from lattice_orbits.errors import LatticeError, NegativeCount, NotIsometry
 from lattice_orbits.isometries import negation
 from lattice_orbits.lattices import inner, resolve
 from lattice_orbits.oracle import (
@@ -117,6 +117,21 @@ def test_connectivity_experiment_even_norm():
     assert report.mixed_label_components == 0
     labels = {lab for c in report.components for lab in c.labels_present}
     assert labels == {"even_characteristic", "even_ordinary"}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: invariance_suite(LMINUS, -2, 1),
+        lambda: invariance_suite(LMINUS, 0, 1, word_length=-3),
+        lambda: connectivity_experiment(U2U, 2, 5, 42, -1),
+        lambda: connectivity_experiment(U2U, 3, 2, 1, 10, word_length=-1),  # empty scan too
+    ],
+)
+def test_negative_counts_are_refused(call):
+    with pytest.raises(NegativeCount) as info:
+        call()
+    assert isinstance(info.value, LatticeError)
 
 
 def test_connectivity_empty_scan():
