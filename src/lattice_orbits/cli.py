@@ -4,8 +4,7 @@ Every command computes one result and writes one JSON document to stdout
 (or an aligned text rendering with --pretty). Exit codes: 0 success, 1 usage
 error (message on stderr), 2 domain error (structured JSON on stdout), 3 a
 verification suite reported a violation. Output bytes depend only on argv and
-seeds; LATTICE_ORBIT_THREADS caps the enumeration worker pool without
-changing any output.
+seeds.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 from . import jsonio, oracle
@@ -58,19 +56,6 @@ def _coords(text: str) -> tuple[int, ...]:
         return tuple(int(part.strip()) for part in text.split(","))
     except ValueError:
         raise _UsageError(f"bad coordinate list {text!r}") from None
-
-
-def _workers() -> int:
-    raw = os.environ.get("LATTICE_ORBIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"LATTICE_ORBIT_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise _UsageError(f"LATTICE_ORBIT_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def build_parser() -> _Parser:
@@ -169,7 +154,7 @@ def _read_doc(path: str, stdin) -> dict:
     return doc
 
 
-def _cmd_info(args, workers, stdin):
+def _cmd_info(args, stdin):
     lattice = resolve(args.lattice)
     sig = signature(lattice)
     doc = jsonio.lattice_to_json(lattice)
@@ -180,7 +165,7 @@ def _cmd_info(args, workers, stdin):
     return doc, 0
 
 
-def _cmd_classify(args, workers, stdin):
+def _cmd_classify(args, stdin):
     if (args.coords is None) == (args.from_json is None):
         raise _UsageError("classify needs exactly one of --coords or --from-json")
     if args.from_json is not None:
@@ -189,7 +174,7 @@ def _cmd_classify(args, workers, stdin):
             if "lattice" in doc:
                 v = jsonio.vector_from_json(doc)
             else:
-                v = vec(resolve(args.lattice), jsonio._int_list(doc["coords"], "coords"))
+                v = vec(resolve(args.lattice), jsonio.int_list(doc["coords"], "coords"))
         except (KeyError, ValueError, TypeError) as exc:
             raise _UsageError(f"bad vector document: {exc}") from None
     else:
@@ -197,7 +182,7 @@ def _cmd_classify(args, workers, stdin):
     return jsonio.classification_to_json(classify(v)), 0
 
 
-def _cmd_rep(args, workers, stdin):
+def _cmd_rep(args, stdin):
     if (args.norm is None) == (args.n is None):
         raise _UsageError("rep needs exactly one of --norm or --n")
     value = args.norm if args.norm is not None else 2 * args.n
@@ -211,17 +196,17 @@ def _cmd_rep(args, workers, stdin):
     return jsonio.vector_to_json(rep), 0
 
 
-def _cmd_phi(args, workers, stdin):
+def _cmd_phi(args, stdin):
     v = vec(resolve(args.lattice), _coords(args.coords))
     return jsonio.half_to_json(dilate(v)), 0
 
 
-def _cmd_phi_inv(args, workers, stdin):
+def _cmd_phi_inv(args, stdin):
     h = jsonio.half_from_json({"base": args.base, "doubled_coords": list(_coords(args.doubled))})
     return jsonio.vector_to_json(dilate_inverse(h)), 0
 
 
-def _cmd_even_type(args, workers, stdin):
+def _cmd_even_type(args, stdin):
     v = vec(resolve(args.lattice), _coords(args.coords))
     value = norm(v)
     answer = is_even_type(v)
@@ -233,13 +218,13 @@ def _cmd_even_type(args, workers, stdin):
     }, 0
 
 
-def _cmd_witness(args, workers, stdin):
+def _cmd_witness(args, stdin):
     v = vec(resolve(args.lattice), _coords(args.coords))
     result = even_witness(v, args.bound)
     return jsonio.witness_to_json(v, result, norm(v)), 0
 
 
-def _cmd_heegner(args, workers, stdin):
+def _cmd_heegner(args, stdin):
     if args.n_min > args.n_max:
         raise _UsageError("--from must not exceed --to")
     reports = heegner_range(args.n_min, args.n_max)
@@ -269,7 +254,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _cmd_oracle_invariance(args, workers, stdin):
+def _cmd_oracle_invariance(args, stdin):
     matrices = _load_matrices(args.isometry_json, stdin) if args.isometry_json else None
     result = oracle.invariance_suite(
         resolve(args.lattice), args.samples, args.seed, args.bound, args.word_length, matrices
@@ -277,26 +262,25 @@ def _cmd_oracle_invariance(args, workers, stdin):
     return jsonio.suite_to_json(result), (0 if result.status == "pass" else 3)
 
 
-def _cmd_oracle_enumerate(args, workers, stdin):
-    scan = oracle.enumerate_primitive(resolve(args.lattice), args.bound, args.norm, workers)
+def _cmd_oracle_enumerate(args, stdin):
+    scan = oracle.enumerate_primitive(resolve(args.lattice), args.bound, args.norm)
     return jsonio.scan_to_json(scan), 0
 
 
-def _cmd_oracle_connectivity(args, workers, stdin):
+def _cmd_oracle_connectivity(args, stdin):
     report = oracle.connectivity_experiment(
-        resolve(args.lattice), args.norm, args.bound, args.seed, args.walks,
-        args.word_length, workers,
+        resolve(args.lattice), args.norm, args.bound, args.seed, args.walks, args.word_length
     )
     result = jsonio.connectivity_to_suite(report, args.seed, args.walks, args.word_length)
     return jsonio.suite_to_json(result), (0 if result.status == "pass" else 3)
 
 
-def _cmd_oracle_wall(args, workers, stdin):
+def _cmd_oracle_wall(args, stdin):
     result = oracle.wall_scan(args.s, args.t, args.bound)
     return jsonio.suite_to_json(result), (0 if result.status == "pass" else 3)
 
 
-def _cmd_oracle_e8(args, workers, stdin):
+def _cmd_oracle_e8(args, stdin):
     count = oracle.e8_vector_count(args.norm)
     expected = oracle.EXPECTED_E8_COUNTS.get(args.norm)
     status = "pass" if expected is None or count == expected else "fail"
@@ -369,8 +353,7 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
     try:
         with contextlib.redirect_stdout(stdout):  # argparse prints --help to sys.stdout
             args = build_parser().parse_args(argv)
-        workers = _workers()
-        doc, code = _HANDLERS[args.command](args, workers, stdin)
+        doc, code = _HANDLERS[args.command](args, stdin)
     except _HelpShown:
         return 0
     except _UsageError as exc:

@@ -1,11 +1,19 @@
 """Exact vector enumeration.
 
 Two engines: a coordinate box walker (any lattice, lexicographic order) and a
-recursive short-vector enumerator for definite forms. The definite engine
-completes the square over the rationals once, then bounds each coordinate by an
-exact interval, so no vector is missed regardless of how skew the basis is;
-integer square roots only ever widen the candidate interval and every candidate
-is accepted by an exact comparison.
+recursive short-vector enumerator for definite forms.
+
+The box walker takes one ascending list of allowed values per axis. Given a
+Gram matrix and a norm it walks only the first rank - 1 axes and solves the
+last coordinate exactly: for a fixed prefix the norm is g*x^2 + L*x + Q in the
+last coordinate x, a linear equation when g = 0 (every U and U(2) block) and
+otherwise a quadratic with an integer square root and a perfect-square check.
+Every root must still be an allowed value of its axis.
+
+The definite engine completes the square over the rationals once, then bounds
+each coordinate by an exact interval, so no vector is missed regardless of how
+skew the basis is; integer square roots only ever widen the candidate interval
+and every candidate is accepted by an exact comparison.
 """
 
 from __future__ import annotations
@@ -14,13 +22,78 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .errors import LatticeShapeMismatch
+from .errors import LatticeShapeMismatch, NegativeCount
 from .lattices import Lattice
+
+
+def box_range(bound: int) -> range:
+    """The integers in [-bound, bound]; a negative bound is refused."""
+    if bound < 0:
+        raise NegativeCount(f"bound must be non-negative, got {bound}")
+    return range(-bound, bound + 1)
 
 
 def box_vectors(rank: int, bound: int):
     """All coordinate tuples in [-bound, bound]^rank, lexicographic order."""
-    return product(range(-bound, bound + 1), repeat=rank)
+    return box_walk([box_range(bound)] * rank)
+
+
+def box_walk(axes, form=None):
+    """Tuples of the product of the per-axis value lists, in lexicographic order.
+
+    Each axis is an ascending sequence of distinct integers. With form =
+    (gram, norm), only the tuples c with c^T gram c == norm are yielded, and
+    the last coordinate is solved instead of walked.
+    """
+    axes = [tuple(axis) for axis in axes]
+    if form is None:
+        return product(*axes)
+    gram, value = form
+    return _norm_walk(axes, gram, value)
+
+
+def _norm_walk(axes, gram, value):
+    *prefix, allowed = axes
+    last = len(prefix)
+    members = frozenset(allowed)
+    g = gram[last][last]
+    if last == 0:  # rank 1: g*x^2 = value
+        yield from ((x,) for x in allowed if g * x * x == value)
+        return
+    # the prefix is (head, y), y on axis pen: Q = Qh + (cy + gyy*y)*y and
+    # L = Lh + ly*y, where Qh, Lh and cy are sparse sums over the head
+    pen = last - 1
+    gyy, ly = gram[pen][pen], 2 * gram[last][pen]
+    quad = [
+        (i, j, gram[i][j] * (1 if i == j else 2))
+        for i in range(pen)
+        for j in range(i, pen)
+        if gram[i][j]
+    ]
+    cross = [(i, 2 * gram[pen][i]) for i in range(pen) if gram[pen][i]]
+    lin = [(i, 2 * gram[last][i]) for i in range(pen) if gram[last][i]]
+    for head in product(*prefix[:-1]):
+        qh = sum(c * head[i] * head[j] for i, j, c in quad) - value
+        lh = sum(c * head[i] for i, c in lin)
+        cy = sum(c * head[i] for i, c in cross)
+        for y in prefix[-1]:
+            roots = _integer_roots(g, lh + ly * y, qh + (cy + gyy * y) * y)
+            for x in allowed if roots is None else roots:
+                if x in members:
+                    yield (*head, y, x)
+
+
+def _integer_roots(a: int, b: int, c: int):
+    """Ascending integer roots of a*x^2 + b*x + c; None when every x is a root."""
+    if a == 0:
+        if b == 0:
+            return None if c == 0 else ()
+        return () if c % b else (-c // b,)
+    disc = b * b - 4 * a * c
+    s = math.isqrt(max(disc, 0))
+    if s * s != disc:
+        return ()
+    return sorted({(d - b) // (2 * a) for d in (s, -s) if (d - b) % (2 * a) == 0})
 
 
 def _completed_square(gram) -> tuple[list[Fraction], list[list[Fraction]]]:

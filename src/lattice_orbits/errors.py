@@ -1,7 +1,8 @@
 """Domain exceptions.
 
 Every error raised on a bad input derives from LatticeError so callers (and the
-CLI) can distinguish domain errors from programming errors.
+CLI) can distinguish domain errors from programming errors, such as the
+InvariantViolation of a failed internal cross-check.
 """
 
 
@@ -95,3 +96,7 @@ class LabelParityMismatch(LatticeError):
 
 class NegativeCount(LatticeError):
     pass
+
+
+class InvariantViolation(AssertionError):
+    """An internal cross-check failed; raised explicitly, so it survives python -O."""

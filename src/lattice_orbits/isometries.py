@@ -24,11 +24,10 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 from . import matrix as intmat
-from .enumeration import short_vectors_definite
+from .enumeration import box_walk, short_vectors_definite
 from .errors import (
     IsotropicReflectionVector,
     LatticeMismatch,
@@ -212,14 +211,10 @@ def _is_primitive_tuple(coords) -> bool:
 
 def _reflection_candidates(lattice: Lattice, recipe: _Recipe):
     n = lattice.rank
+    values = range(-_POOL_BOX, _POOL_BOX + 1)
     for window in recipe.windows:
-        for values in product(range(-_POOL_BOX, _POOL_BOX + 1), repeat=len(window)):
-            if not any(values):
-                continue
-            delta = [0] * n
-            for pos, val in zip(window, values):
-                delta[pos] = val
-            yield tuple(delta)
+        axes = [values if i in window else (0,) for i in range(n)]
+        yield from filter(any, box_walk(axes))
     for start, stop in recipe.definite_blocks:
         block = Lattice(
             f"{lattice.name}[{start}:{stop}]",

@@ -17,7 +17,8 @@ from .oracle import BoxScan, ConnectivityReport, SuiteResult
 from .vectors import LatticeVector
 
 
-def _int_list(values, what: str) -> tuple[int, ...]:
+def int_list(values, what: str) -> tuple[int, ...]:
+    """The JSON integers in values; anything else, booleans too, is a ValueError."""
     out = []
     for x in values:
         if not isinstance(x, int) or isinstance(x, bool):
@@ -48,7 +49,7 @@ def lattice_from_ref(ref) -> Lattice:
     if isinstance(ref, str):
         return resolve(ref)
     if isinstance(ref, dict):
-        gram = tuple(tuple(_int_list(row, "gram entries")) for row in ref["gram"])
+        gram = tuple(tuple(int_list(row, "gram entries")) for row in ref["gram"])
         return Lattice(str(ref["name"]), int(ref["rank"]), gram)
     raise ValueError("lattice reference must be a name or an inline document")
 
@@ -58,7 +59,7 @@ def vector_to_json(v: LatticeVector) -> dict:
 
 
 def vector_from_json(doc: dict) -> LatticeVector:
-    return LatticeVector(lattice_from_ref(doc["lattice"]), _int_list(doc["coords"], "coords"))
+    return LatticeVector(lattice_from_ref(doc["lattice"]), int_list(doc["coords"], "coords"))
 
 
 def half_to_json(h: HalfVector) -> dict:
@@ -67,7 +68,7 @@ def half_to_json(h: HalfVector) -> dict:
 
 def half_from_json(doc: dict) -> HalfVector:
     base = resolve(str(doc["base"]))
-    return HalfVector(base, _int_list(doc["doubled_coords"], "doubled_coords"))
+    return HalfVector(base, int_list(doc["doubled_coords"], "doubled_coords"))
 
 
 def isometry_to_json(g: Isometry) -> dict:
@@ -76,7 +77,7 @@ def isometry_to_json(g: Isometry) -> dict:
 
 def isometry_from_json(doc: dict) -> Isometry:
     lattice = lattice_from_ref(doc["lattice"])
-    rows = [_int_list(row, "matrix entries") for row in doc["matrix"]]
+    rows = [int_list(row, "matrix entries") for row in doc["matrix"]]
     return certify(lattice, rows)  # refuses anything that is not an isometry
 
 

@@ -6,28 +6,27 @@ union-find forest from random walk edges, and the Wall scan rechecks the mod-8
 congruence vector by vector. Suites return pass/fail values with
 counterexamples instead of raising, so a violation is data, not a crash.
 
-Enumeration can partition its outermost coordinate range across a worker pool;
-chunks are concatenated in range order, so results never depend on the worker
-count or schedule.
+Enumeration runs single-threaded through the one box walker in enumeration.py,
+which solves the last coordinate when a norm is given; every hit is still
+checked for primitivity and norm here.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
-from .enumeration import box_vectors, short_vectors_definite
+from .enumeration import box_range, box_vectors, box_walk, short_vectors_definite
 from .errors import (
     LabelParityMismatch,
     LatticeShapeMismatch,
     NegativeCount,
     OddNormInEvenLattice,
+    ZeroVector,
 )
 from .isometries import Isometry, apply, certify, sample_word
-from .lattices import Lattice, resolve
+from .lattices import Lattice, inner, resolve
 from .orbits import OrbitLabel, classify, representative
 from .vectors import LatticeVector, VectorType, vector_type, wall_congruence_holds
 
@@ -66,41 +65,21 @@ class ConnectivityReport:
     edges_kept: int
 
 
-def enumerate_primitive(
-    lattice: Lattice, bound: int, norm: int | None = None, workers: int = 1
-) -> BoxScan:
+def enumerate_primitive(lattice: Lattice, bound: int, norm: int | None = None) -> BoxScan:
     """Primitive vectors in the coordinate box, optionally filtered by norm.
 
     Output order is lexicographic over the box and therefore deterministic.
     """
-    rank = lattice.rank
-    gram = lattice.gram
-
-    def scan(first_values) -> list[LatticeVector]:
-        hits = []
-        for c0 in first_values:
-            for rest in product(range(-bound, bound + 1), repeat=rank - 1):
-                coords = (c0, *rest)
-                if not any(coords):
-                    continue
-                if math.gcd(*coords) != 1:
-                    continue
-                if norm is not None:
-                    gv = [sum(r * c for r, c in zip(row, coords)) for row in gram]
-                    if sum(c * x for c, x in zip(coords, gv)) != norm:
-                        continue
-                hits.append(LatticeVector(lattice, coords))
-        return hits
-
-    firsts = list(range(-bound, bound + 1))
-    if workers <= 1 or len(firsts) <= 1:
-        collected = scan(firsts)
-    else:
-        step = max(1, -(-len(firsts) // workers))
-        chunks = [firsts[i : i + step] for i in range(0, len(firsts), step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            collected = [v for part in pool.map(scan, chunks) for v in part]
-    return BoxScan(lattice, bound, norm, tuple(collected))
+    axes = [box_range(bound)] * lattice.rank
+    form = None if norm is None else (lattice.gram, norm)
+    hits = tuple(
+        LatticeVector(lattice, coords)
+        for coords in box_walk(axes, form)
+        if any(coords)
+        and math.gcd(*coords) == 1
+        and (norm is None or inner(lattice, coords, coords) == norm)
+    )
+    return BoxScan(lattice, bound, norm, hits)
 
 
 def _check_counts(**counts: int) -> None:
@@ -111,6 +90,9 @@ def _check_counts(**counts: int) -> None:
 
 def random_primitive(lattice: Lattice, rng: random.Random, bound: int) -> LatticeVector:
     """Random primitive vector with coordinates in [-bound, bound]."""
+    _check_counts(bound=bound)
+    if bound == 0:
+        raise ZeroVector("the box of bound 0 holds only the zero vector")
     while True:
         coords = tuple(rng.randint(-bound, bound) for _ in range(lattice.rank))
         if not any(coords):
@@ -133,7 +115,7 @@ def invariance_suite(
     explicit matrices go through certification first, so a corrupted one is
     refused before anything runs.
     """
-    _check_counts(samples=samples, word_length=word_length)
+    _check_counts(samples=samples, bound=bound, word_length=word_length)
     extra = tuple(certify(lattice, m) for m in isometries or ())
     rng = random.Random(seed)
     stats = {
@@ -208,7 +190,6 @@ def connectivity_experiment(
     seed: int,
     walks: int,
     word_length: int = 4,
-    workers: int = 1,
 ) -> ConnectivityReport:
     """Union-find over walk edges; counts components that mix orbit labels.
 
@@ -218,8 +199,8 @@ def connectivity_experiment(
     Connectivity itself is only suggestive: more walks can still merge
     components.
     """
-    _check_counts(walks=walks, word_length=word_length)
-    scan = enumerate_primitive(lattice, bound, norm, workers)
+    _check_counts(bound=bound, walks=walks, word_length=word_length)
+    scan = enumerate_primitive(lattice, bound, norm)
     uf = _UnionFind()
     labels = {}
     for v in scan.vectors:

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 
 from .dilatation import dilate, is_integral
+from .enumeration import box_range, box_walk
 from .errors import (
     EvenTypeUndefinedForOddN,
+    InvariantViolation,
     LabelParityMismatch,
     LatticeShapeMismatch,
     NonPrimitive,
@@ -106,7 +107,10 @@ def classify(v: LatticeVector) -> ClassificationReport:
         char = vtype is VectorType.CHARACTERISTIC
         both_even = b1 % 2 == 0 and b2 % 2 == 0
         # three equivalent criteria for even n; any split is a bug
-        assert char == both_even == integral, (v, char, both_even, integral)
+        if not char == both_even == integral:
+            raise InvariantViolation(
+                f"criteria split on {v.coords}: {char}, {both_even}, {integral}"
+            )
         label = OrbitLabel.EVEN_CHARACTERISTIC if char else OrbitLabel.EVEN_ORDINARY
     return ClassificationReport(v, value, half, True, vtype, integral, label)
 
@@ -143,7 +147,8 @@ def representative(value: int, label: OrbitLabel, lattice: Lattice | None = None
         coords[r + 1] = half
     rep = vec(lattice, coords)
     report = classify(rep)
-    assert report.norm == value and report.label is label, report
+    if report.norm != value or report.label is not label:
+        raise InvariantViolation(f"representative for {value}, {label.value} gave {report}")
     return rep
 
 
@@ -190,18 +195,22 @@ def _witness_ok(v: LatticeVector, w: LatticeVector) -> bool:
 def even_witness(v: LatticeVector, bound: int = 2) -> WitnessResult:
     """Search the invariant partner for a witness of even type.
 
-    Candidates must match v's leading coordinates mod 2, so the scan runs over
-    a parity-constrained box. Vectors whose two trailing coordinates vanish get
-    their witness written down directly. A trailing odd coordinate is a hard
-    parity obstruction: every candidate sum keeps an odd entry, so the result
-    says NotFound regardless of the bound. Otherwise absence within the bound
-    is only absence within the bound.
+    Candidates must match v's leading coordinates mod 2 and v's norm, so the
+    scan walks a parity-constrained box with the last coordinate solved from
+    the norm, and the first hit in lexicographic order is the witness. Vectors
+    whose two trailing coordinates vanish get their witness written down
+    directly. A trailing odd coordinate is a hard parity obstruction: every
+    candidate sum keeps an odd entry, so the result says NotFound regardless of
+    the bound. Otherwise absence within the bound is only absence within the
+    bound.
     """
     if v.lattice != resolve("Lminus"):
         raise LatticeShapeMismatch("even-type witnesses are defined on Lminus")
+    values = box_range(bound)
     _require_primitive(v)
-    if (norm(v) // 2) % 2 != 0:
-        raise EvenTypeUndefinedForOddN(f"norm {norm(v)} is not divisible by 4")
+    value = norm(v)
+    if (value // 2) % 2 != 0:
+        raise EvenTypeUndefinedForOddN(f"norm {value} is not divisible by 4")
     plus = resolve("Lplus")
     b1, b2 = v.coords[10], v.coords[11]
     if b1 % 2 != 0 or b2 % 2 != 0:
@@ -210,10 +219,8 @@ def even_witness(v: LatticeVector, bound: int = 2) -> WitnessResult:
         direct = LatticeVector(plus, v.coords[:10])
         if _witness_ok(v, direct):
             return WitnessResult(direct, False, bound)
-    axes = [
-        [x for x in range(-bound, bound + 1) if (x - c) % 2 == 0] for c in v.coords[:10]
-    ]
-    for cand in product(*axes):
+    axes = [[x for x in values if (x - c) % 2 == 0] for c in v.coords[:10]]
+    for cand in box_walk(axes, (plus.gram, value)):
         if not any(cand):
             continue
         w = LatticeVector(plus, cand)

@@ -275,6 +275,11 @@ def test_oracle_invariance_rejects_malformed_isometry_file(tmp_path, doc):
         ["oracle-invariance", "--word-length", "-3"],
         ["oracle-invariance", "--samples", "-2"],
         ["oracle-connectivity", "--norm", "2", "--walks", "-1"],
+        ["oracle-invariance", "--lattice", "Lminus", "--samples", "1", "--bound", "-1"],
+        ["oracle-enumerate", "--lattice", "U2U", "--bound", "-1"],
+        ["oracle-wall", "--s", "1", "--t", "2", "--bound", "-1"],
+        ["oracle-connectivity", "--norm", "2", "--bound", "-1"],
+        ["witness", "--coords", "0,0,0,0,0,0,0,0,1,2,2,0", "--bound", "-1"],
     ],
 )
 def test_negative_counts_are_domain_errors(argv):
@@ -310,17 +315,6 @@ def test_usage_errors():
     assert run_cli([])[0] == 1
     assert run_cli(["classify", "--coords", "1,a,3"])[0] == 1
     assert run_cli(["no-such-command"])[0] == 1
-
-
-def test_worker_env(monkeypatch):
-    argv = ["oracle-enumerate", "--lattice", "U2U", "--bound", "2", "--norm", "0"]
-    _, plain, _ = run_cli(argv)
-    monkeypatch.setenv("LATTICE_ORBIT_THREADS", "3")
-    assert run_cli(argv)[1] == plain  # worker count never changes output
-    monkeypatch.setenv("LATTICE_ORBIT_THREADS", "abc")
-    assert run_cli(argv)[0] == 1
-    monkeypatch.setenv("LATTICE_ORBIT_THREADS", "0")
-    assert run_cli(argv)[0] == 1
 
 
 def test_pretty_rendering():

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import math
 import random
 
 import pytest
 
-from lattice_orbits.errors import LatticeError, NegativeCount, NotIsometry
+from lattice_orbits import jsonio
+from lattice_orbits.errors import LatticeError, NegativeCount, NotIsometry, ZeroVector
 from lattice_orbits.isometries import negation
 from lattice_orbits.lattices import inner, resolve
 from lattice_orbits.oracle import (
@@ -65,10 +68,47 @@ def test_enumerate_contract():
         assert tuple(-c for c in v.coords) in seen  # closed under negation
 
 
-def test_enumerate_worker_count_is_invisible():
-    single = enumerate_primitive(U2U, 2, 0, workers=1)
-    pooled = enumerate_primitive(U2U, 2, 0, workers=3)
-    assert single.vectors == pooled.vectors
+# sha256 over f"{bound} {norm} {coords!r}\n" for every bound listed and every
+# norm in (None, -12, ..., 12), recorded from the product-and-filter walk that
+# enumerate_primitive ran before the norm-solving walker
+PINNED_SCAN_BOUNDS = {"U2U": (0, 1, 2, 3, 4), "I_2_3": (1, 2), "E8_2": (1,)}
+PINNED_SCAN_DIGESTS = {
+    "U2U": "f30546b3e870c3a5ff7669c9c77cabfbddcac2b39f660c077dec716ec35494c9",
+    "I_2_3": "05ff3fe74cd38f9cead27398ca4e9a55645ba45651b53ebc73cf48ba4fb7185e",
+    "E8_2": "7eccdf2e26dfcf49665c90df84dd9bbe425ac716b9391ab00001d9d432d73597",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCAN_DIGESTS))
+def test_enumerate_pinned_digest(name):
+    lattice = resolve(name)
+    digest = hashlib.sha256()
+    for bound in PINNED_SCAN_BOUNDS[name]:
+        for value in (None, *range(-12, 13)):
+            coords = [v.coords for v in enumerate_primitive(lattice, bound, value).vectors]
+            digest.update(f"{bound} {value} {coords!r}\n".encode())
+    assert digest.hexdigest() == PINNED_SCAN_DIGESTS[name]
+
+
+def test_connectivity_and_wall_pinned_digests():
+    # suite documents as the CLI prints them, recorded before the walker change
+    digest = hashlib.sha256()
+    for value, bound in ((2, 3), (8, 3), (0, 2), (-4, 3)):
+        report = connectivity_experiment(U2U, value, bound, 7, 150)
+        doc = jsonio.suite_to_json(jsonio.connectivity_to_suite(report, 7, 150, 4))
+        digest.update(json.dumps(doc).encode() + b"\n")
+    assert digest.hexdigest() == "30d929305ac1801dc5aab57abf0fa08987877f998a378d61292b1d5bb12c5c35"
+    digest = hashlib.sha256()
+    for s, t, bound in ((1, 2, 3), (3, 0, 3), (2, 3, 2), (0, 1, 4)):
+        digest.update(json.dumps(jsonio.suite_to_json(wall_scan(s, t, bound))).encode() + b"\n")
+    assert digest.hexdigest() == "48fe2fffaa6829cd7e44bfafaadff06b35d1d4a5becdfb1c99c822829554a41c"
+
+
+def test_random_primitive_refuses_the_zero_box():
+    # the only vector with every coordinate in [0, 0] is zero: refuse, do not spin
+    with pytest.raises(ZeroVector):
+        random_primitive(LMINUS, random.Random(1), 0)
+    assert invariance_suite(LMINUS, 0, 1, bound=0).status == "pass"
 
 
 def test_random_primitive():
@@ -126,6 +166,12 @@ def test_connectivity_experiment_even_norm():
         lambda: invariance_suite(LMINUS, 0, 1, word_length=-3),
         lambda: connectivity_experiment(U2U, 2, 5, 42, -1),
         lambda: connectivity_experiment(U2U, 3, 2, 1, 10, word_length=-1),  # empty scan too
+        lambda: enumerate_primitive(U2U, -1),
+        lambda: enumerate_primitive(U2U, -2, 4),
+        lambda: connectivity_experiment(U2U, 2, -1, 42, 10),
+        lambda: invariance_suite(LMINUS, 1, 42, bound=-1),
+        lambda: random_primitive(LMINUS, random.Random(1), -1),
+        lambda: wall_scan(1, 2, -1),
     ],
 )
 def test_negative_counts_are_refused(call):

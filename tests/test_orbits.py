@@ -1,14 +1,24 @@
+import hashlib
+import math
+import random
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from lattice_orbits.errors import (
     EvenTypeUndefinedForOddN,
+    InvariantViolation,
     LabelParityMismatch,
+    LatticeError,
     LatticeShapeMismatch,
+    NegativeCount,
     NonPrimitive,
     OddNormInEvenLattice,
     ZeroVector,
 )
-from lattice_orbits.lattices import resolve
+from lattice_orbits.lattices import inner, resolve
 from lattice_orbits.orbits import (
     OrbitLabel,
     classify,
@@ -187,6 +197,77 @@ def test_witness_errors():
         even_witness(vec(LMINUS, (0,) * 10 + (1, 5)))
     with pytest.raises(NonPrimitive):
         even_witness(vec(LMINUS, (0,) * 10 + (2, 2)))
+    with pytest.raises(NegativeCount):
+        even_witness(vec(LMINUS, (0,) * 8 + (1, 2, 2, 0)), bound=-1)
+
+
+def _witness_inputs():
+    """48 seeded primitive Lminus vectors of norm 0 mod 4: mostly even trailing
+    coordinates, every eighth a parity obstruction, every eighth a direct case."""
+    rng = random.Random(4)
+    out = []
+    while len(out) < 48:
+        c = [rng.randint(-2, 2) for _ in range(10)] + [rng.choice((-2, 0, 2)) for _ in range(2)]
+        if len(out) % 8 == 7:
+            c[10] += 1
+        if len(out) % 8 == 3:
+            c[10] = c[11] = 0
+        c = tuple(c)
+        if any(c) and math.gcd(*c) == 1 and inner(LMINUS, c, c) % 4 == 0:
+            out.append(c)
+    return out
+
+
+def test_witness_pinned_digest():
+    # recorded from the product-and-filter search that even_witness ran before
+    # the norm-solving walker; the inputs hit found, not found within the
+    # bound, obstructed and direct results
+    digest = hashlib.sha256()
+    for c in _witness_inputs():
+        for bound in (1, 2):
+            r = even_witness(vec(LMINUS, c), bound)
+            w = None if r.witness is None else r.witness.coords
+            digest.update(f"{c} {bound} {w} {r.parity_obstruction} {r.bound}\n".encode())
+    assert digest.hexdigest() == "31a2a1a466059b7ef0186bff40357d9faf957a5d2603d0dbb3c2c3105308a7cb"
+
+
+def test_invariant_violation_is_not_a_domain_error():
+    assert not issubclass(InvariantViolation, LatticeError)
+
+
+def test_cross_checks_survive_python_O(package_env):
+    code = textwrap.dedent(
+        """
+        import dataclasses
+        from lattice_orbits import orbits
+        from lattice_orbits.errors import InvariantViolation
+        from lattice_orbits.lattices import resolve
+        from lattice_orbits.vectors import vec
+
+        if __debug__:
+            raise SystemExit("expected python -O, which strips assert statements")
+        honest_integral, honest_classify = orbits.is_integral, orbits.classify
+        orbits.is_integral = lambda h: not honest_integral(h)  # one criterion now lies
+        try:
+            orbits.classify(vec(resolve("Lminus"), (0,) * 10 + (1, 4)))
+        except InvariantViolation as exc:
+            print("classify raised:", exc)
+        orbits.is_integral = honest_integral
+        orbits.classify = lambda v: dataclasses.replace(
+            honest_classify(v), label=orbits.OrbitLabel.ODD
+        )
+        try:
+            orbits.representative(8, orbits.OrbitLabel.EVEN_ORDINARY)
+        except InvariantViolation as exc:
+            print("representative raised:", exc)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=package_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["classify raised", "representative raised"]
 
 
 def test_heegner_reports():
