@@ -18,6 +18,7 @@ from . import jsonio, oracle
 from .dilatation import dilate, dilate_inverse
 from .errors import LatticeError
 from .lattices import builtin_names, determinant, is_even, is_unimodular, resolve, signature
+from .matrix import is_int
 from .orbits import (
     OrbitLabel,
     classify,
@@ -241,17 +242,13 @@ def _load_matrices(path: str, stdin):
         doc = [doc["matrix"]]
     if not isinstance(doc, list):
         raise _UsageError("isometry file must hold a matrix or a list of matrices")
-    if doc and isinstance(doc[0], list) and doc[0] and _is_int(doc[0][0]):
+    if doc and isinstance(doc[0], list) and doc[0] and is_int(doc[0][0]):
         doc = [doc]  # a single bare matrix
     for m in doc:
         if not (isinstance(m, list)
-                and all(isinstance(row, list) and all(map(_is_int, row)) for row in m)):
+                and all(isinstance(row, list) and all(map(is_int, row)) for row in m)):
             raise _UsageError("each isometry must be a list of integer rows")
     return doc
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _cmd_oracle_invariance(args, stdin):

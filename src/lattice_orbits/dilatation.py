@@ -20,7 +20,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LatticeShapeMismatch, NotInHalfLattice, RankMismatch
-from .lattices import BASE_PLUS_I11, TWISTED_PLUS_U, Lattice, base_plus_i11, inner, resolve
+from .lattices import (
+    BASE_PLUS_I11,
+    TWISTED_PLUS_U,
+    Lattice,
+    base_plus_i11,
+    inner,
+    is_builtin,
+    resolve,
+    split_base,
+)
 from .vectors import LatticeVector
 
 
@@ -32,43 +41,23 @@ class HalfVector:
     doubled_coords: tuple[int, ...]
 
     def __post_init__(self):
-        shape = self.base.shape
-        if shape is None or shape.kind != BASE_PLUS_I11:
-            raise LatticeShapeMismatch(f"{self.base.name} is not a tagged base + I_1_1 lattice")
+        r = split_base(self.base, BASE_PLUS_I11).rank
         if len(self.doubled_coords) != self.base.rank:
             raise RankMismatch(f"expected {self.base.rank} doubled coordinates")
-        r = shape.base.rank
         if any(d % 2 != 0 for d in self.doubled_coords[:r]):
             raise NotInHalfLattice("leading coordinates must be integral")
         if (self.doubled_coords[r] - self.doubled_coords[r + 1]) % 2 != 0:
             raise NotInHalfLattice("trailing half-coordinates must share a parity")
 
 
-# domain lattice recovered from the image lattice, filled in by half_target
-_DOMAINS: dict[Lattice, Lattice] = {}
+# built-in image lattice -> the built-in domain whose half_target it is
 _KNOWN_DOMAINS = {"E8_U_I11": "Lminus", "U_I11": "U2U"}
 
 
 def half_target(domain: Lattice) -> Lattice:
     """The base + I_1_1 lattice receiving dilatation images of `domain`."""
-    shape = domain.shape
-    if shape is None or shape.kind != TWISTED_PLUS_U:
-        raise LatticeShapeMismatch(f"{domain.name} is not a tagged base(2) + U lattice")
-    target = base_plus_i11(shape.base, name=f"{shape.base.name}_I11")
-    _DOMAINS.setdefault(target, domain)
-    return target
-
-
-def _domain_for(target: Lattice) -> Lattice:
-    found = _DOMAINS.get(target)
-    if found is not None:
-        return found
-    name = _KNOWN_DOMAINS.get(target.name)
-    if name is not None:
-        domain = resolve(name)
-        if half_target(domain) == target:
-            return domain
-    raise LatticeShapeMismatch(f"no known dilatation domain for {target.name}")
+    base = split_base(domain, TWISTED_PLUS_U)
+    return base_plus_i11(base, name=f"{base.name}_I11")
 
 
 def dilate(v: LatticeVector) -> HalfVector:
@@ -81,8 +70,15 @@ def dilate(v: LatticeVector) -> HalfVector:
 
 
 def dilate_inverse(h: HalfVector) -> LatticeVector:
-    """Invert the map back to the tagged base(2) + U lattice."""
-    domain = _domain_for(h.base)
+    """Invert the map; only built-in images have a domain: E8_U_I11 -> Lminus, U_I11 -> U2U.
+
+    The domain depends on the image lattice alone, never on what was dilated
+    before, so an image of a custom copy of U2U still maps back into U2U.
+    """
+    name = _KNOWN_DOMAINS.get(h.base.name)
+    if name is None or not is_builtin(h.base):
+        raise LatticeShapeMismatch(f"no known dilatation domain for {h.base.name}")
+    domain = resolve(name)
     r = h.base.shape.base.rank
     dx, dy = h.doubled_coords[r], h.doubled_coords[r + 1]
     coords = tuple(d // 2 for d in h.doubled_coords[:r]) + ((dx + dy) // 2, (dx - dy) // 2)

@@ -26,10 +26,16 @@ from .errors import LatticeShapeMismatch, NegativeCount
 from .lattices import Lattice
 
 
+def check_counts(**counts: int) -> None:
+    """Refuse the first negative count, by its keyword name, with NegativeCount."""
+    for name, value in counts.items():
+        if value < 0:
+            raise NegativeCount(f"{name} must be non-negative, got {value}")
+
+
 def box_range(bound: int) -> range:
     """The integers in [-bound, bound]; a negative bound is refused."""
-    if bound < 0:
-        raise NegativeCount(f"bound must be non-negative, got {bound}")
+    check_counts(bound=bound)
     return range(-bound, bound + 1)
 
 

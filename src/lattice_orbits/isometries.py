@@ -27,11 +27,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import matrix as intmat
-from .enumeration import box_walk, short_vectors_definite
+from .enumeration import box_walk, check_counts, short_vectors_definite
 from .errors import (
     IsotropicReflectionVector,
     LatticeMismatch,
-    NegativeCount,
     NoGeneratorRecipe,
     NotIntegralReflection,
     NotIsometry,
@@ -40,7 +39,7 @@ from .errors import (
     OddLattice,
     RankMismatch,
 )
-from .lattices import I_NAME, Lattice, inner, is_even, resolve
+from .lattices import I_NAME, Lattice, inner, is_builtin, is_even
 from .vectors import LatticeVector
 
 
@@ -66,7 +65,7 @@ def certify(lattice: Lattice, rows) -> Isometry:
     rows = tuple(tuple(row) for row in rows)
     for row in rows:
         for x in row:
-            if not isinstance(x, int):
+            if not intmat.is_int(x):
                 raise NotIsometry(f"matrix entries must be integers, got {x!r}")
     return Isometry(lattice, rows)
 
@@ -195,13 +194,14 @@ _POOL_BOX = 3
 
 
 def _recipe_for(lattice: Lattice) -> _Recipe:
-    known = _RECIPES.get(lattice.name)
-    if known is not None and resolve(lattice.name) == lattice:
-        return known
-    if I_NAME.fullmatch(lattice.name) and resolve(lattice.name) == lattice:
-        idx = range(lattice.rank)
-        windows = tuple((i,) for i in idx) + tuple((i, j) for i in idx for j in idx if i < j)
-        return _Recipe(windows, (), (), None)
+    if is_builtin(lattice):
+        known = _RECIPES.get(lattice.name)
+        if known is not None:
+            return known
+        if I_NAME.fullmatch(lattice.name):
+            idx = range(lattice.rank)
+            windows = tuple((i,) for i in idx) + tuple((i, j) for i in idx for j in idx if i < j)
+            return _Recipe(windows, (), (), None)
     raise NoGeneratorRecipe(f"no sampling recipe for lattice {lattice.name!r}")
 
 
@@ -313,8 +313,7 @@ def sample_word(lattice: Lattice, seed: int, length: int) -> Isometry:
     The product is accumulated as mutable rows, one sparse update per step, and
     certified once when the Isometry is built.
     """
-    if length < 0:
-        raise NegativeCount(f"word length must be non-negative, got {length}")
+    check_counts(length=length)
     recipe = _recipe_for(lattice)
     pool = _generator_pool(lattice)
     kinds = []

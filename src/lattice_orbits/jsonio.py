@@ -9,9 +9,9 @@ live in docs/schemas/.
 from __future__ import annotations
 
 from .dilatation import HalfVector
-from .errors import UnknownLattice
 from .isometries import Isometry, certify
-from .lattices import Lattice, resolve
+from .lattices import Lattice, is_builtin, resolve
+from .matrix import is_int
 from .orbits import ClassificationReport, HeegnerReport, WitnessResult
 from .oracle import BoxScan, ConnectivityReport, SuiteResult
 from .vectors import LatticeVector
@@ -21,7 +21,7 @@ def int_list(values, what: str) -> tuple[int, ...]:
     """The JSON integers in values; anything else, booleans too, is a ValueError."""
     out = []
     for x in values:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not is_int(x):
             raise ValueError(f"{what} must be integers, got {x!r}")
         out.append(x)
     return tuple(out)
@@ -36,13 +36,8 @@ def lattice_to_json(lattice: Lattice) -> dict:
 
 
 def lattice_ref(lattice: Lattice):
-    """Name when the registry resolves it back, inline document otherwise."""
-    try:
-        if resolve(lattice.name) == lattice:
-            return lattice.name
-    except UnknownLattice:
-        pass
-    return lattice_to_json(lattice)
+    """Name when resolve gives the lattice back, inline document otherwise."""
+    return lattice.name if is_builtin(lattice) else lattice_to_json(lattice)
 
 
 def lattice_from_ref(ref) -> Lattice:

@@ -9,7 +9,11 @@ unimodular hyperbolic block at 10..11.
 Lattices built by `twisted_plus_u` / `base_plus_i11` carry a shape tag recording
 the even unimodular base of the leading block; the dilatation and orbit modules
 only accept tagged lattices, because their coordinate formulas depend on that
-split.
+split. `split_base` is the one check of a tag.
+
+The fixed built-ins are plain values made once at import; `resolve` hands them
+out and builds I_s_t lattices on each call, and `is_builtin` is the one test of
+whether a lattice is what `resolve` gives for its name.
 """
 
 from __future__ import annotations
@@ -17,10 +21,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import matrix
-from .errors import EmptyLattice, LatticeShapeMismatch, RankMismatch, UnknownLattice, ZeroTwist
+from .errors import (
+    EmptyLattice,
+    LatticeError,
+    LatticeShapeMismatch,
+    RankMismatch,
+    UnknownLattice,
+    ZeroTwist,
+)
 
 TWISTED_PLUS_U = "twisted_plus_u"
 BASE_PLUS_I11 = "base_plus_i11"
@@ -123,6 +133,17 @@ def _check_split_base(base: Lattice):
         raise LatticeShapeMismatch(f"base {base.name} signature difference not 0 mod 8")
 
 
+_KIND_TEXT = {TWISTED_PLUS_U: "base(2) + U", BASE_PLUS_I11: "base + I_1_1"}
+
+
+def split_base(lattice: Lattice, kind: str) -> Lattice:
+    """The base of a lattice tagged with `kind`; the one check of a shape tag."""
+    shape = lattice.shape
+    if shape is None or shape.kind != kind:
+        raise LatticeShapeMismatch(f"{lattice.name} is not a tagged {_KIND_TEXT[kind]} lattice")
+    return shape.base
+
+
 def twisted_plus_u(base: Lattice, name: str) -> Lattice:
     """base(2) + U with a shape tag; the orbit classifier works on these."""
     _check_split_base(base)
@@ -200,60 +221,56 @@ def signature(lattice: Lattice) -> Signature:
     return Signature(pos, neg, zero)
 
 
-def _make_e8_u() -> Lattice:
-    return direct_sum(make_e8(), make_u(), name="E8_U")
-
-
-def _make_lminus() -> Lattice:
-    return twisted_plus_u(_make_e8_u(), name="Lminus")
-
-
-def _make_u2u() -> Lattice:
-    return twisted_plus_u(make_u(), name="U2U")
-
-
-def _make_lambda() -> Lattice:
-    body = direct_sum(make_e8(), make_e8())
+def _builtins() -> dict[str, Lattice]:
+    u, e8 = make_u(), make_e8()
+    u2, e8_2 = twist(u, 2, name="U2"), twist(e8, 2, name="E8_2")
+    e8_u = direct_sum(e8, u, name="E8_U")
+    body = direct_sum(e8, e8)
     for _ in range(3):
-        body = direct_sum(body, make_u())
-    return Lattice("Lambda", body.rank, body.gram)
+        body = direct_sum(body, u)
+    return {
+        "U": u,
+        "U2": u2,
+        "E8": e8,
+        "E8_2": e8_2,
+        "Lminus": twisted_plus_u(e8_u, name="Lminus"),
+        "Lambda": Lattice("Lambda", body.rank, body.gram),
+        "B_U": u,  # alias: the hyperbolic plane in its role as a rank-2 base
+        "U2U": twisted_plus_u(u, name="U2U"),
+        "Lplus": direct_sum(e8_2, u2, name="Lplus"),
+        "U_I11": base_plus_i11(u, name="U_I11"),
+        "E8_U_I11": base_plus_i11(e8_u, name="E8_U_I11"),
+    }
 
 
-def _make_lplus() -> Lattice:
-    return direct_sum(
-        twist(make_e8(), 2, name="E8_2"), twist(make_u(), 2, name="U2"), name="Lplus"
-    )
-
-
-_BUILDERS = {
-    "U": make_u,
-    "U2": lambda: twist(make_u(), 2, name="U2"),
-    "E8": make_e8,
-    "E8_2": lambda: twist(make_e8(), 2, name="E8_2"),
-    "Lminus": _make_lminus,
-    "Lambda": _make_lambda,
-    "B_U": make_u,  # alias: the hyperbolic plane in its role as a rank-2 base
-    "U2U": _make_u2u,
-    "Lplus": _make_lplus,
-    "U_I11": lambda: base_plus_i11(make_u(), name="U_I11"),
-    "E8_U_I11": lambda: base_plus_i11(_make_e8_u(), name="E8_U_I11"),
-}
+# built once at import; lattices are frozen, so every caller shares these values
+_BUILTINS = _builtins()
 
 I_NAME = re.compile(r"I_(\d+)_(\d+)")
 
 
-@lru_cache(maxsize=None)
 def resolve(name: str) -> Lattice:
-    """Look up a built-in lattice by name ("U", "E8_2", "I_2_3", "Lminus", ...)."""
-    builder = _BUILDERS.get(name)
-    if builder is not None:
-        return builder()
+    """Look up a built-in lattice by name ("U", "E8_2", "I_2_3", "Lminus", ...).
+
+    Fixed names give the same value on every call; I_s_t is built on each call.
+    """
+    found = _BUILTINS.get(name)
+    if found is not None:
+        return found
     m = I_NAME.fullmatch(name)
     if m:
         return make_i(int(m.group(1)), int(m.group(2)))
     raise UnknownLattice(f"no built-in lattice named {name!r}")
 
 
+def is_builtin(lattice: Lattice) -> bool:
+    """True when resolve gives this lattice back for its own name."""
+    try:
+        return resolve(lattice.name) == lattice
+    except LatticeError:  # unknown names, and I_s_t names resolve refuses
+        return False
+
+
 def builtin_names() -> tuple[str, ...]:
-    """Registry names, plus the I_s_t pattern resolved on demand."""
-    return tuple(sorted(_BUILDERS)) + ("I_s_t",)
+    """Fixed built-in names, plus the I_s_t pattern resolved on demand."""
+    return tuple(sorted(_BUILTINS)) + ("I_s_t",)

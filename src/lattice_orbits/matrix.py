@@ -10,6 +10,11 @@ IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 
 
+def is_int(x) -> bool:
+    """True for an int that is not a bool; the test applied to outside input."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def freeze(rows) -> IntMatrix:
     """Copy a row iterable into an immutable integer matrix."""
     return tuple(tuple(int(x) for x in row) for row in rows)

@@ -17,14 +17,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .enumeration import box_range, box_vectors, box_walk, short_vectors_definite
-from .errors import (
-    LabelParityMismatch,
-    LatticeShapeMismatch,
-    NegativeCount,
-    OddNormInEvenLattice,
-    ZeroVector,
-)
+from .enumeration import box_range, box_vectors, box_walk, check_counts, short_vectors_definite
+from .errors import LabelParityMismatch, LatticeShapeMismatch, OddNormInEvenLattice, ZeroVector
 from .isometries import Isometry, apply, certify, sample_word
 from .lattices import Lattice, inner, resolve
 from .orbits import OrbitLabel, classify, representative
@@ -82,15 +76,9 @@ def enumerate_primitive(lattice: Lattice, bound: int, norm: int | None = None) -
     return BoxScan(lattice, bound, norm, hits)
 
 
-def _check_counts(**counts: int) -> None:
-    for name, value in counts.items():
-        if value < 0:
-            raise NegativeCount(f"{name} must be non-negative, got {value}")
-
-
 def random_primitive(lattice: Lattice, rng: random.Random, bound: int) -> LatticeVector:
     """Random primitive vector with coordinates in [-bound, bound]."""
-    _check_counts(bound=bound)
+    check_counts(bound=bound)
     if bound == 0:
         raise ZeroVector("the box of bound 0 holds only the zero vector")
     while True:
@@ -115,7 +103,7 @@ def invariance_suite(
     explicit matrices go through certification first, so a corrupted one is
     refused before anything runs.
     """
-    _check_counts(samples=samples, bound=bound, word_length=word_length)
+    check_counts(samples=samples, bound=bound, word_length=word_length)
     extra = tuple(certify(lattice, m) for m in isometries or ())
     rng = random.Random(seed)
     stats = {
@@ -199,7 +187,7 @@ def connectivity_experiment(
     Connectivity itself is only suggestive: more walks can still merge
     components.
     """
-    _check_counts(bound=bound, walks=walks, word_length=word_length)
+    check_counts(bound=bound, walks=walks, word_length=word_length)
     scan = enumerate_primitive(lattice, bound, norm)
     uf = _UnionFind()
     labels = {}

@@ -37,7 +37,7 @@ from .errors import (
     OddNormInEvenLattice,
     ZeroVector,
 )
-from .lattices import TWISTED_PLUS_U, Lattice, resolve
+from .lattices import TWISTED_PLUS_U, Lattice, resolve, split_base
 from .vectors import LatticeVector, VectorType, is_primitive, norm, vec, vector_type
 
 
@@ -78,13 +78,6 @@ class HeegnerReport:
     components: tuple[HeegnerComponent, ...]
 
 
-def _require_split(v: LatticeVector) -> Lattice:
-    shape = v.lattice.shape
-    if shape is None or shape.kind != TWISTED_PLUS_U:
-        raise LatticeShapeMismatch(f"{v.lattice.name} is not a tagged base(2) + U lattice")
-    return shape.base
-
-
 def _require_primitive(v: LatticeVector):
     if not any(v.coords):
         raise ZeroVector("the zero vector has no orbit label")
@@ -94,7 +87,7 @@ def _require_primitive(v: LatticeVector):
 
 def classify(v: LatticeVector) -> ClassificationReport:
     """Label a primitive vector; all invariants are recomputed and cross-checked."""
-    base = _require_split(v)
+    base = split_base(v.lattice, TWISTED_PLUS_U)
     _require_primitive(v)
     value = norm(v)
     half = value // 2  # the lattice is even, so this is exact
@@ -123,8 +116,7 @@ def representative(value: int, label: OrbitLabel, lattice: Lattice | None = None
     The construction is re-validated through classify before returning.
     """
     lattice = lattice if lattice is not None else resolve("Lminus")
-    if lattice.shape is None or lattice.shape.kind != TWISTED_PLUS_U:
-        raise LatticeShapeMismatch(f"{lattice.name} is not a tagged base(2) + U lattice")
+    base = split_base(lattice, TWISTED_PLUS_U)
     if value % 2 != 0:
         raise OddNormInEvenLattice(f"norm {value} is impossible in an even lattice")
     half = value // 2
@@ -132,14 +124,12 @@ def representative(value: int, label: OrbitLabel, lattice: Lattice | None = None
         raise LabelParityMismatch(f"norm {value} has even n = {half}, not an odd orbit")
     if label is not OrbitLabel.ODD and half % 2 != 0:
         raise LabelParityMismatch(f"norm {value} has odd n = {half}, only the odd label fits")
-    r = lattice.shape.base.rank
+    r = base.rank
     coords = [0] * lattice.rank
     if label is OrbitLabel.EVEN_CHARACTERISTIC:
-        tail = tuple(tuple(row[r - 2 : r]) for row in lattice.shape.base.gram[r - 2 : r])
+        tail = tuple(tuple(row[r - 2 : r]) for row in base.gram[r - 2 : r])
         if tail != ((0, 1), (1, 0)):
-            raise LatticeShapeMismatch(
-                f"base {lattice.shape.base.name} does not end in a hyperbolic block"
-            )
+            raise LatticeShapeMismatch(f"base {base.name} does not end in a hyperbolic block")
         coords[r - 2] = 1
         coords[r - 1] = half // 2
     else:
@@ -176,7 +166,7 @@ def is_even_type(v: LatticeVector) -> bool:
     Equivalent to integrality of the norm-halving image; for the rank-12
     built-in this matches the existence of an invariant-partner witness.
     """
-    _require_split(v)
+    split_base(v.lattice, TWISTED_PLUS_U)
     _require_primitive(v)
     half = norm(v) // 2
     if half % 2 != 0:

@@ -13,14 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import matrix
-from .errors import (
-    LatticeShapeMismatch,
-    NotCharacteristic,
-    NotUnimodular,
-    RankMismatch,
-    ZeroVector,
-)
-from .lattices import BASE_PLUS_I11, Lattice, inner, is_unimodular, signature
+from .errors import NotCharacteristic, NotUnimodular, RankMismatch, ZeroVector
+from .lattices import BASE_PLUS_I11, Lattice, inner, is_unimodular, signature, split_base
 
 
 class VectorType(Enum):
@@ -83,10 +77,7 @@ def characteristic_by_parity(v: LatticeVector) -> bool:
     even. Unimodularity matters: it makes "gram * a even" equivalent to
     "a even" for the leading block.
     """
-    shape = v.lattice.shape
-    if shape is None or shape.kind != BASE_PLUS_I11:
-        raise LatticeShapeMismatch(f"{v.lattice.name} is not a tagged base + I_1_1 lattice")
-    r = shape.base.rank
+    r = split_base(v.lattice, BASE_PLUS_I11).rank
     leading_even = all(c % 2 == 0 for c in v.coords[:r])
     trailing_odd = v.coords[r] % 2 != 0 and v.coords[r + 1] % 2 != 0
     return leading_even and trailing_odd

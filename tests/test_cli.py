@@ -9,6 +9,11 @@ import pytest
 from referencing import Registry, Resource
 
 from lattice_orbits.cli import run
+from lattice_orbits.dilatation import HalfVector, half_target
+from lattice_orbits.errors import LatticeShapeMismatch
+from lattice_orbits.lattices import resolve
+from lattice_orbits.orbits import OrbitLabel, classify, is_even_type, representative
+from lattice_orbits.vectors import characteristic_by_parity, vec
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -288,6 +293,37 @@ def test_negative_counts_are_domain_errors(argv):
     doc = json.loads(out)
     check_schema(doc, "error.schema.json")
     assert doc["error"] == "NegativeCount"
+
+
+_U = resolve("U")
+_NOT_TWISTED = "is not a tagged base(2) + U lattice"
+_NOT_I11 = "is not a tagged base + I_1_1 lattice"
+
+
+# Every shape-tag refusal, in the library and through the CLI, with its exact text.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: HalfVector(_U, (0, 0)), f"U {_NOT_I11}"),
+        (lambda: HalfVector(resolve("U2U"), (0, 0, 1, 1)), f"U2U {_NOT_I11}"),
+        (lambda: half_target(resolve("U_I11")), f"U_I11 {_NOT_TWISTED}"),
+        (lambda: classify(vec(_U, (1, 1))), f"U {_NOT_TWISTED}"),
+        (lambda: is_even_type(vec(_U, (1, 1))), f"U {_NOT_TWISTED}"),
+        (lambda: representative(2, OrbitLabel.ODD, _U), f"U {_NOT_TWISTED}"),
+        (lambda: characteristic_by_parity(vec(_U, (1, 1))), f"U {_NOT_I11}"),
+        (["phi", "--lattice", "U2", "--coords", "1,1"], f"U2 {_NOT_TWISTED}"),
+        (["phi-inv", "--base", "U", "--doubled", "0,0"], f"U {_NOT_I11}"),
+    ],
+)
+def test_tag_check_messages(call, message):
+    if isinstance(call, list):
+        code, out, err = run_cli(call)
+        assert (code, err) == (2, "")
+        assert out == json.dumps({"error": "LatticeShapeMismatch", "message": message}) + "\n"
+        return
+    with pytest.raises(LatticeShapeMismatch) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_oracle_connectivity_deterministic():

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -15,7 +17,7 @@ from lattice_orbits.dilatation import (
     true_coords,
 )
 from lattice_orbits.errors import LatticeShapeMismatch, NotInHalfLattice, RankMismatch
-from lattice_orbits.lattices import resolve
+from lattice_orbits.lattices import direct_sum, make_e8, make_u, resolve, twisted_plus_u
 from lattice_orbits.vectors import VectorType, is_primitive, norm, vec, vector_type
 
 LMINUS = resolve("Lminus")
@@ -100,6 +102,35 @@ def test_inverse_recovers_domain_from_name():
     assert dilate_inverse(h).lattice == LMINUS
     h = HalfVector(resolve("U_I11"), (0, 0, 1, 1))
     assert dilate_inverse(h).lattice == U2U
+
+
+def test_known_domains_are_the_built_in_half_targets():
+    # dilate_inverse trusts this pairing without rebuilding the target
+    assert half_target(LMINUS) == resolve("E8_U_I11")
+    assert half_target(U2U) == resolve("U_I11")
+
+
+def test_inverse_does_not_depend_on_earlier_dilations(package_env):
+    # a fresh interpreter, so no dilation of the built-in U2U comes first
+    script = (
+        "from lattice_orbits.dilatation import HalfVector, dilate, dilate_inverse\n"
+        "from lattice_orbits.lattices import make_u, resolve, twisted_plus_u\n"
+        "from lattice_orbits.vectors import vec\n"
+        "dilate(vec(twisted_plus_u(make_u(), name='MyU2U'), (1, 0, 1, 1)))\n"
+        "back = dilate_inverse(HalfVector(resolve('U_I11'), (0, 0, 1, 1)))\n"
+        "assert back.lattice == resolve('U2U'), back.lattice.name\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=package_env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_inverse_refuses_images_of_custom_lattices():
+    mine = twisted_plus_u(direct_sum(make_e8(), make_u(), name="MyE8U"), name="Mine")
+    h = dilate(vec(mine, (0,) * 10 + (1, 3)))
+    assert h.base.name == "MyE8U_I11"
+    with pytest.raises(LatticeShapeMismatch, match="^no known dilatation domain for MyE8U_I11$"):
+        dilate_inverse(h)
 
 
 def test_round_trip_exhaustive_rank4():

@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_orbits.enumeration import box_range, box_vectors, box_walk, short_vectors_definite
+from lattice_orbits.enumeration import (
+    box_range,
+    box_vectors,
+    box_walk,
+    check_counts,
+    short_vectors_definite,
+)
 from lattice_orbits.errors import LatticeShapeMismatch, NegativeCount
+from lattice_orbits.isometries import sample_word
 from lattice_orbits.lattices import Lattice, inner, resolve
 
 
@@ -14,6 +21,20 @@ def test_box_vectors_order_and_count():
     assert len(got) == 9
     assert got[0] == (-1, -1)
     assert got == sorted(got)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: box_range(-1), "bound must be non-negative, got -1"),
+        (lambda: check_counts(samples=3, walks=-2, bound=-1), "walks must be non-negative, got -2"),
+        (lambda: sample_word(resolve("U2U"), 1, -1), "length must be non-negative, got -1"),
+    ],
+)
+def test_negative_count_message_names_the_count(call, message):
+    with pytest.raises(NegativeCount) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_negative_bound_is_refused():

@@ -53,6 +53,13 @@ def test_certify_rejects_bad_matrices():
         certify(LMINUS, rows)
 
 
+def test_certify_rejects_booleans():
+    with pytest.raises(NotIsometry, match="^matrix entries must be integers, got True$"):
+        certify(resolve("U"), [[True, False], [False, True]])
+    with pytest.raises(NotIsometry, match="^matrix entries must be integers, got 1.0$"):
+        certify(resolve("U"), [[1.0, 0], [0, 1]])
+
+
 def test_reflection_in_hyperbolic_root():
     sigma = reflection(LMINUS, (0,) * 10 + (1, -1))
     assert apply(sigma, vec(LMINUS, (0,) * 10 + (1, 3))).coords == (0,) * 10 + (3, 1)

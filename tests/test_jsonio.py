@@ -6,7 +6,7 @@ from lattice_orbits import jsonio
 from lattice_orbits.dilatation import HalfVector, dilate
 from lattice_orbits.errors import NotIsometry, UnknownLattice
 from lattice_orbits.isometries import block_swap, negation
-from lattice_orbits.lattices import direct_sum, make_u, resolve
+from lattice_orbits.lattices import Lattice, direct_sum, make_u, resolve
 from lattice_orbits.oracle import enumerate_primitive, wall_scan
 from lattice_orbits.orbits import classify, even_witness, heegner_report
 from lattice_orbits.vectors import norm, vec
@@ -33,6 +33,12 @@ def test_lattice_ref_prefers_names():
     assert jsonio.lattice_ref(resolve("U2U")) == "U2U"
     inline = jsonio.lattice_ref(direct_sum(make_u(), make_u(), name="UU"))
     assert inline["rank"] == 4
+
+
+def test_lattice_ref_inlines_names_resolve_refuses():
+    # resolve raises EmptyLattice, not UnknownLattice, on this name
+    custom = Lattice("I_0_0", 1, ((1,),))
+    assert jsonio.lattice_ref(custom) == {"name": "I_0_0", "rank": 1, "gram": [[1]]}
 
 
 def test_lattice_from_ref_errors():

@@ -16,6 +16,7 @@ from lattice_orbits.lattices import (
     determinant,
     direct_sum,
     inner,
+    is_builtin,
     is_even,
     is_unimodular,
     make_e8,
@@ -197,6 +198,32 @@ def test_resolve_names():
     names = builtin_names()
     for expected in ("U", "E8", "Lminus", "Lambda", "U2U", "I_s_t"):
         assert expected in names
+
+
+@pytest.mark.parametrize("name", builtin_names()[:-1])
+def test_resolve_hands_out_one_value_per_builtin_name(name):
+    assert resolve(name) is resolve(name)
+    assert is_builtin(resolve(name))
+
+
+def test_resolve_builds_i_s_t_on_each_call():
+    assert resolve("I_2_3") == resolve("I_2_3") == make_i(2, 3)
+    assert is_builtin(make_i(2, 3))
+
+
+@pytest.mark.parametrize(
+    "lattice, builtin",
+    [
+        (twisted_plus_u(make_u(), name="U2U"), True),  # equal to the built-in value
+        (twisted_plus_u(make_u(), name="MyU2U"), False),  # unknown name
+        (Lattice("U", 2, ((0, -1), (-1, 0))), False),  # known name, other form
+        (Lattice("U2U", 4, resolve("U2U").gram), False),  # same form, no shape tag
+        (Lattice("I_2_1", 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))), False),
+        (Lattice("I_0_0", 1, ((1,),)), False),  # resolve refuses the name with EmptyLattice
+    ],
+)
+def test_is_builtin(lattice, builtin):
+    assert is_builtin(lattice) is builtin
 
 
 def test_shape_tags():
