@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import LatticeShapeMismatch, NegativeCount
-from .lattices import Lattice
+from .lattices import Lattice, gram_terms
 
 
 def check_counts(**counts: int) -> None:
@@ -70,14 +70,10 @@ def _norm_walk(axes, gram, value):
     # L = Lh + ly*y, where Qh, Lh and cy are sparse sums over the head
     pen = last - 1
     gyy, ly = gram[pen][pen], 2 * gram[last][pen]
-    quad = [
-        (i, j, gram[i][j] * (1 if i == j else 2))
-        for i in range(pen)
-        for j in range(i, pen)
-        if gram[i][j]
-    ]
-    cross = [(i, 2 * gram[pen][i]) for i in range(pen) if gram[pen][i]]
-    lin = [(i, 2 * gram[last][i]) for i in range(pen) if gram[last][i]]
+    rows = gram_terms(gram)
+    quad = [(i, j, g if i == j else 2 * g) for i in range(pen) for j, g in rows[i] if i <= j < pen]
+    cross = [(i, 2 * g) for i, g in rows[pen] if i < pen]
+    lin = [(i, 2 * g) for i, g in rows[last] if i < pen]
     for head in product(*prefix[:-1]):
         qh = sum(c * head[i] * head[j] for i, j, c in quad) - value
         lh = sum(c * head[i] for i, c in lin)

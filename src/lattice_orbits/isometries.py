@@ -4,11 +4,21 @@ An isometry is an integer matrix M with M^T G M = G and |det M| = 1, acting on
 coordinate columns. Construction always certifies; there is no way to hold an
 uncertified Isometry.
 
+Certification forms G M column by column over the nonzero Gram terms and
+compares the upper triangle of M^T (G M) with G. That is a complete check of
+M^T G M = G, because M^T G M is symmetric whenever G is. When det G != 0 the
+equation forces det(M)^2 = 1, so the Bareiss |det M| = 1 check can never fail;
+it is skipped only where det G != 0 is known without computing it, on the
+built-in lattices (every fixed built-in is nondegenerate and I_s_t has
+det +-1). Every other lattice, degenerate ones included, keeps the check.
+
 Random words are drawn from curated generator recipes per built-in lattice:
 reflections in short vectors (precomputed pools), hyperbolic block swaps,
 global negation, and (on even lattices) transvections along an isotropic basis
 vector of the unimodular hyperbolic block. Sampling is reproducible: the same
-seed and length give the same matrix.
+seed and length give the same matrix. The pools of the four fixed recipe
+lattices are scanned once per name; an I_s_t pool is written down in closed
+form on each call.
 
 A word is composed from checked generators and certified once, at the end.
 Each pool reflection is certified when the pool is built, each transvection's
@@ -24,6 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from . import matrix as intmat
@@ -39,7 +50,7 @@ from .errors import (
     OddLattice,
     RankMismatch,
 )
-from .lattices import I_NAME, Lattice, inner, is_builtin, is_even
+from .lattices import I_NAME, Lattice, gram_vec, inner, is_builtin, is_even, resolve
 from .vectors import LatticeVector
 
 
@@ -49,14 +60,20 @@ class Isometry:
     matrix: intmat.IntMatrix
 
     def __post_init__(self):
-        g = self.lattice.gram
+        lattice = self.lattice
+        g = lattice.gram
         m = self.matrix
-        n = self.lattice.rank
+        n = lattice.rank
         if len(m) != n or any(len(row) != n for row in m):
             raise NotIsometry(f"matrix is not {n}x{n}")
-        if intmat.mat_mul(intmat.transpose(m), intmat.mat_mul(g, m)) != g:
-            raise NotIsometry("matrix does not preserve the form")
-        if abs(intmat.det(m)) != 1:
+        cols = list(zip(*m))
+        gm_cols = [gram_vec(lattice, col) for col in cols]
+        for a, col in enumerate(cols):  # the upper triangle of M^T (G M)
+            for b in range(a, n):
+                if sum(map(mul, col, gm_cols[b])) != g[a][b]:
+                    raise NotIsometry("matrix does not preserve the form")
+        # built-ins have det G != 0, where the form check forces det(M)^2 = 1
+        if not is_builtin(lattice) and abs(intmat.det(m)) != 1:
             raise NotIsometry("matrix is not invertible over the integers")
 
 
@@ -102,7 +119,7 @@ def _reflection_coeffs(lattice: Lattice, delta: tuple[int, ...]) -> list[int]:
     if nd == 0:
         raise IsotropicReflectionVector("cannot reflect in an isotropic vector")
     coeffs = []
-    for i, gd in enumerate(intmat.mat_vec(lattice.gram, delta)):
+    for i, gd in enumerate(gram_vec(lattice, delta)):
         twice = 2 * gd
         if twice % nd != 0:
             raise NotIntegralReflection(
@@ -133,13 +150,13 @@ def _transvection_terms(lattice: Lattice, e, x):
         raise OddLattice("transvections need an even lattice")
     if len(e) != lattice.rank or len(x) != lattice.rank:
         raise RankMismatch(f"expected {lattice.rank} coordinates")
-    ge = intmat.mat_vec(lattice.gram, e)
-    if sum(a * b for a, b in zip(e, ge)) != 0:
+    ge = gram_vec(lattice, e)
+    if sum(map(mul, e, ge)) != 0:
         raise NotIsotropic("e must be isotropic")
-    if sum(a * b for a, b in zip(x, ge)) != 0:
+    if sum(map(mul, x, ge)) != 0:
         raise NotOrthogonal("x must be orthogonal to e")
-    gx = intmat.mat_vec(lattice.gram, x)
-    return ge, gx, sum(a * b for a, b in zip(x, gx)) // 2
+    gx = gram_vec(lattice, x)
+    return ge, gx, sum(map(mul, x, gx)) // 2
 
 
 def transvection(lattice: Lattice, e, x) -> Isometry:
@@ -189,6 +206,9 @@ _RECIPES = {
     "U_I11": _Recipe(((0, 1), (2, 3)), (), (0,), None),
 }
 
+# I_s_t: reflections only, from the closed-form pool of _diagonal_pool
+_DIAGONAL_RECIPE = _Recipe((), (), (), None)
+
 _REFLECTION_NORMS = (-1, 1, -2, 2, -4, 4)
 _POOL_BOX = 3
 
@@ -199,9 +219,7 @@ def _recipe_for(lattice: Lattice) -> _Recipe:
         if known is not None:
             return known
         if I_NAME.fullmatch(lattice.name):
-            idx = range(lattice.rank)
-            windows = tuple((i,) for i in idx) + tuple((i, j) for i in idx for j in idx if i < j)
-            return _Recipe(windows, (), (), None)
+            return _DIAGONAL_RECIPE
     raise NoGeneratorRecipe(f"no sampling recipe for lattice {lattice.name!r}")
 
 
@@ -249,10 +267,46 @@ class _PoolReflection(NamedTuple):
     update: _RowUpdate  # I - delta c^T, with c the reflection coefficients
 
 
-@lru_cache(maxsize=None)
+def _pool_entry(lattice: Lattice, delta: tuple[int, ...]) -> _PoolReflection:
+    coeffs = _reflection_coeffs(lattice, delta)
+    reflection(lattice, delta)  # certifies the matrix the update stands for
+    return _PoolReflection(delta, ((_nonzero(-d for d in delta), _nonzero(coeffs)),))
+
+
 def _generator_pool(lattice: Lattice) -> tuple[_PoolReflection, ...]:
     """Certified reflections for the lattice, deterministic order, sign-deduped."""
-    recipe = _recipe_for(lattice)
+    if _recipe_for(lattice) is _DIAGONAL_RECIPE:
+        return _diagonal_pool(lattice)
+    return _recipe_pool(lattice.name)
+
+
+@lru_cache(maxsize=len(_RECIPES))
+def _recipe_pool(name: str) -> tuple[_PoolReflection, ...]:
+    """The scanned pool of a fixed recipe lattice, kept once per recipe name."""
+    return _scan_pool(resolve(name), _RECIPES[name])
+
+
+def _diagonal_pool(lattice: Lattice) -> tuple[_PoolReflection, ...]:
+    """The pool of I_s_t in closed form, built on each call.
+
+    The basis vectors in order, then e_i + e_j and e_i - e_j for each i < j of
+    equal sign: the pool, in its order, that a scan of every one- and
+    two-coordinate window finds.
+    """
+    n, g = lattice.rank, lattice.gram
+    unit = [[int(i == k) for k in range(n)] for i in range(n)]
+    deltas = [tuple(e) for e in unit] + [
+        tuple([a + sign * b for a, b in zip(unit[i], unit[j])])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if g[i][i] == g[j][j]
+        for sign in (1, -1)
+    ]
+    return tuple([_pool_entry(lattice, delta) for delta in deltas])
+
+
+def _scan_pool(lattice: Lattice, recipe: _Recipe) -> tuple[_PoolReflection, ...]:
+    """Reflections in the recipe's window and definite-block candidates."""
     pool = []
     seen = set()
     for delta in _reflection_candidates(lattice, recipe):
@@ -270,12 +324,9 @@ def _generator_pool(lattice: Lattice) -> tuple[_PoolReflection, ...]:
         if inner(lattice, canonical, canonical) not in _REFLECTION_NORMS:
             continue
         try:
-            coeffs = _reflection_coeffs(lattice, canonical)
+            pool.append(_pool_entry(lattice, canonical))
         except (IsotropicReflectionVector, NotIntegralReflection):
             continue
-        reflection(lattice, canonical)  # certifies the matrix the update stands for
-        minus_delta = _nonzero(-d for d in canonical)
-        pool.append(_PoolReflection(canonical, ((minus_delta, _nonzero(coeffs)),)))
     return tuple(pool)
 
 

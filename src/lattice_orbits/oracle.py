@@ -18,11 +18,17 @@ import random
 from dataclasses import dataclass
 
 from .enumeration import box_range, box_vectors, box_walk, check_counts, short_vectors_definite
-from .errors import LabelParityMismatch, LatticeShapeMismatch, OddNormInEvenLattice, ZeroVector
+from .errors import (
+    LabelParityMismatch,
+    LatticeShapeMismatch,
+    NotUnimodular,
+    OddNormInEvenLattice,
+    ZeroVector,
+)
 from .isometries import Isometry, apply, certify, sample_word
-from .lattices import Lattice, inner, resolve
+from .lattices import Lattice, inner, is_unimodular, resolve, signature
 from .orbits import OrbitLabel, classify, representative
-from .vectors import LatticeVector, VectorType, vector_type, wall_congruence_holds
+from .vectors import LatticeVector, VectorType, norm, vector_type
 
 
 @dataclass(frozen=True)
@@ -227,13 +233,17 @@ def connectivity_experiment(
 def wall_scan(s: int, t: int, bound: int) -> SuiteResult:
     """Every characteristic vector in the box of I_s_t must have norm = s - t mod 8."""
     lattice = resolve(f"I_{s}_{t}")
+    # wall_congruence_holds per vector, with its lattice checks done once
+    if not is_unimodular(lattice):
+        raise NotUnimodular(f"{lattice.name} has |det| != 1")
+    sig = signature(lattice)
     checked = 0
     for coords in box_vectors(lattice.rank, bound):
         v = LatticeVector(lattice, coords)
         if vector_type(v) is not VectorType.CHARACTERISTIC:
             continue
         checked += 1
-        if not wall_congruence_holds(v):
+        if (norm(v) - (sig.positive - sig.negative)) % 8 != 0:
             return SuiteResult(
                 "wall-congruence",
                 "fail",

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import matrix
 from .errors import NotCharacteristic, NotUnimodular, RankMismatch, ZeroVector
-from .lattices import BASE_PLUS_I11, Lattice, inner, is_unimodular, signature, split_base
+from .lattices import BASE_PLUS_I11, Lattice, gram_vec, inner, is_unimodular, signature, split_base
 
 
 class VectorType(Enum):
@@ -58,9 +57,8 @@ def is_primitive(v: LatticeVector) -> bool:
 def vector_type(v: LatticeVector) -> VectorType:
     """Characteristic or ordinary, decided by pairings against the basis."""
     gram = v.lattice.gram
-    gv = matrix.mat_vec(gram, v.coords)
-    for i in range(v.lattice.rank):
-        if (gv[i] - gram[i][i]) % 2 != 0:
+    for i, gv in enumerate(gram_vec(v.lattice, v.coords)):
+        if (gv - gram[i][i]) % 2 != 0:
             return VectorType.ORDINARY
     return VectorType.CHARACTERISTIC
 

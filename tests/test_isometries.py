@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lattice_orbits import isometries
@@ -29,9 +29,10 @@ from lattice_orbits.isometries import (
     sample_word,
     transvection,
 )
-from lattice_orbits.lattices import is_even, resolve
+from lattice_orbits.lattices import Lattice, inner, is_even, make_i, resolve
+from lattice_orbits.matrix import det, freeze, mat_mul, mat_vec, transpose
 from lattice_orbits.matrix import identity as eye
-from lattice_orbits.vectors import is_primitive, norm, pair, vec, vector_type
+from lattice_orbits.vectors import VectorType, is_primitive, norm, pair, vec, vector_type
 
 LMINUS = resolve("Lminus")
 
@@ -295,3 +296,102 @@ def test_corrupt_sparse_step_is_refused(monkeypatch):
         with pytest.raises(NotIsometry):
             sample_word(LMINUS, seed, 16)
         assert corrupted  # the word did contain a sparse step
+
+
+def test_det_check_runs_where_det_g_is_not_known():
+    # M^T G M = G holds for each of these, but det M = 2
+    with pytest.raises(NotIsometry, match="invertible"):
+        Isometry(Lattice("Z0", 1, ((0,),)), ((2,),))
+    with pytest.raises(NotIsometry, match="invertible"):
+        Isometry(Lattice("Lminus", 2, ((0, 0), (0, 0))), ((2, 0), (0, 1)))
+    rows = [list(row) for row in LMINUS.gram]  # Lminus with e_0 in the radical
+    rows[0] = [0] * 12
+    for row in rows:
+        row[0] = 0
+    degenerate = Lattice("Lminus", 12, freeze(rows))
+    scaled = [list(row) for row in eye(12)]
+    scaled[0][0] = 2
+    with pytest.raises(NotIsometry, match="invertible"):
+        certify(degenerate, scaled)
+
+
+def _dense_isometry(gram, m) -> bool:
+    return mat_mul(transpose(m), mat_mul(gram, m)) == gram and abs(det(m)) == 1
+
+
+@st.composite
+def _lattice_and_matrix(draw):
+    builtin = draw(st.none() | st.sampled_from(("U", "U2", "U2U", "U_I11", "I_1_1", "I_2_1", "I_1_3")))
+    if builtin is None:
+        n = draw(st.integers(1, 5))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(st.integers(-2, 2))
+        radical = draw(st.none() | st.integers(0, n - 1))
+        if radical is not None:  # a degenerate form
+            rows[radical] = [0] * n
+            for row in rows:
+                row[radical] = 0
+        lattice = Lattice(draw(st.sampled_from(("T", "Z0", "Lminus", "U"))), n, freeze(rows))
+    else:
+        lattice = resolve(builtin)
+    n = lattice.rank
+    kind = draw(st.sampled_from(("random", "signed permutation", "scaled axis", "shear")))
+    if kind == "random":
+        m = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    elif kind == "signed permutation":
+        perm = draw(st.permutations(range(n)))
+        m = [[draw(st.sampled_from((1, -1))) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    else:
+        m = [list(row) for row in eye(n)]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "scaled axis":
+            m[i][i] = draw(st.integers(-3, 3))
+        elif i != j:
+            m[i][j] = draw(st.integers(-2, 2))
+    v = tuple(draw(st.integers(-3, 3)) for _ in range(n))
+    w = tuple(draw(st.integers(-3, 3)) for _ in range(n))
+    return lattice, freeze(m), v, w
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_lattice_and_matrix())
+@example((Lattice("Z0", 1, ((0,),)), ((2,),), (1,), (1,)))  # form kept, det 2
+@example((Lattice("T", 2, ((0, 0), (0, 0))), ((1, 1), (0, 1)), (1, 0), (0, 1)))  # accepted
+@example((resolve("U"), ((0, 1), (1, 0)), (1, 1), (1, -1)))  # accepted, det check skipped
+def test_sparse_forms_agree_with_dense_definitions(case):
+    lattice, m, v, w = case
+    g = lattice.gram
+    n = lattice.rank
+    assert inner(lattice, v, w) == sum(v[i] * g[i][j] * w[j] for i in range(n) for j in range(n))
+    gv = mat_vec(g, v)
+    characteristic = all((gv[i] - g[i][i]) % 2 == 0 for i in range(n))
+    assert (vector_type(vec(lattice, v)) is VectorType.CHARACTERISTIC) is characteristic
+    try:
+        Isometry(lattice, m)
+        accepted = True
+    except NotIsometry:
+        accepted = False
+    assert accepted is _dense_isometry(g, m)
+
+
+def test_diagonal_pool_matches_the_window_scan():
+    for s in range(5):
+        for t in range(5):
+            if s + t == 0:
+                continue
+            lattice = make_i(s, t)
+            idx = range(s + t)
+            windows = tuple((i,) for i in idx) + tuple((i, j) for i in idx for j in idx if i < j)
+            scanned = isometries._scan_pool(lattice, isometries._Recipe(windows, (), (), None))
+            assert isometries._generator_pool(lattice) == scanned, (s, t)
+
+
+def test_pools_are_kept_per_recipe_name_only():
+    for s in range(1, 5):
+        sample_word(make_i(s, 1), 0, 3)
+    for name in isometries._RECIPES:
+        sample_word(resolve(name), 0, 1)
+    info = isometries._recipe_pool.cache_info()
+    assert info.currsize == info.maxsize == len(isometries._RECIPES)

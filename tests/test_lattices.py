@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lattice_orbits import jsonio, lattices, matrix
 from lattice_orbits.errors import (
     EmptyLattice,
     LatticeShapeMismatch,
@@ -220,10 +221,66 @@ def test_resolve_builds_i_s_t_on_each_call():
         (Lattice("U2U", 4, resolve("U2U").gram), False),  # same form, no shape tag
         (Lattice("I_2_1", 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))), False),
         (Lattice("I_0_0", 1, ((1,),)), False),  # resolve refuses the name with EmptyLattice
+        (Lattice("I_600_0", 1, ((1,),)), False),  # the name spells another rank
     ],
 )
 def test_is_builtin(lattice, builtin):
     assert is_builtin(lattice) is builtin
+
+
+def test_is_builtin_refuses_i_s_t_of_another_rank_without_building_it(monkeypatch):
+    def refuse(s, t):
+        raise AssertionError(f"make_i({s}, {t}) was called")
+
+    monkeypatch.setattr(lattices, "make_i", refuse)
+    small = Lattice("I_600_0", 1, ((1,),))
+    assert not is_builtin(small)
+    assert jsonio.lattice_ref(small) == jsonio.lattice_to_json(small)
+
+
+def test_fixed_builtins_are_nondegenerate():
+    # Isometry skips its |det M| = 1 check on built-ins because det G != 0
+    for name in builtin_names()[:-1]:
+        assert matrix.det(resolve(name).gram) != 0, name
+    for s in range(4):
+        for t in range(4):
+            if s + t:
+                assert abs(matrix.det(make_i(s, t).gram)) == 1
+
+
+def test_terms_are_lazy_and_outside_equality():
+    gram = ((2, 0, -1), (0, 0, 0), (-1, 0, 4))
+    lattice = Lattice("T", 3, gram)
+    assert not hasattr(lattice, "_terms")  # not derived at construction
+    assert lattice.terms == [[(0, 2), (2, -1)], [], [(0, -1), (2, 4)]]
+    twin = Lattice("T", 3, gram)
+    assert lattice == twin and hash(lattice) == hash(twin) and repr(lattice) == repr(twin)
+    assert "terms" not in repr(lattice)
+
+
+def test_diagonal_determinant_and_signature_match_general_paths():
+    rng = random.Random(6)
+    lattices_seen = [make_i(s, t) for s in range(4) for t in range(4) if s + t]
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        diagonal = rng.random() < 0.5
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if i == j or not diagonal:
+                    rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        if rng.random() < 0.25:  # put a basis vector in the radical
+            k = rng.randrange(n)
+            rows[k] = [0] * n
+            for row in rows:
+                row[k] = 0
+        lattices_seen.append(Lattice("T", n, matrix.freeze(rows)))
+    kinds = set()
+    for lattice in lattices_seen:
+        kinds.add((lattices._diagonal(lattice) is not None, determinant(lattice) == 0))
+        assert determinant(lattice) == matrix.det(lattice.gram)
+        assert signature(lattice) == lattices._inertia(lattice.gram)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_shape_tags():
