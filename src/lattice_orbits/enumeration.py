@@ -6,9 +6,14 @@ recursive short-vector enumerator for definite forms.
 The box walker takes one ascending list of allowed values per axis. Given a
 Gram matrix and a norm it walks only the first rank - 1 axes and solves the
 last coordinate exactly: for a fixed prefix the norm is g*x^2 + L*x + Q in the
-last coordinate x, a linear equation when g = 0 (every U and U(2) block) and
-otherwise a quadratic with an integer square root and a perfect-square check.
-Every root must still be an allowed value of its axis.
+last coordinate x. When g = 0 (every U and U(2) block) that is a linear
+equation, solved inline by one exact division (every x when L = Q = 0);
+otherwise it is a quadratic with an integer square root and a perfect-square
+check. Every root must still be an allowed value of its axis.
+
+Every walk has one budget, WALK_BUDGET tuples: the product of the walked axis
+lengths, leaving out the solved last axis when a norm is given. A larger walk
+is refused with BoxTooLarge before it starts.
 
 The definite engine completes the square over the rationals once, then bounds
 each coordinate by an exact interval, so no vector is missed regardless of how
@@ -22,8 +27,12 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .errors import LatticeShapeMismatch, NegativeCount
+from .errors import BoxTooLarge, LatticeShapeMismatch, NegativeCount
 from .lattices import Lattice, gram_terms
+
+# walked tuples per box walk, a few seconds of work; the largest walk the test
+# suite makes is wall_scan(3, 3, 3), 7^6 = 117649 tuples
+WALK_BUDGET = 10**6
 
 
 def check_counts(**counts: int) -> None:
@@ -49,9 +58,13 @@ def box_walk(axes, form=None):
 
     Each axis is an ascending sequence of distinct integers. With form =
     (gram, norm), only the tuples c with c^T gram c == norm are yielded, and
-    the last coordinate is solved instead of walked.
+    the last coordinate is solved instead of walked. A walk of more than
+    WALK_BUDGET tuples raises BoxTooLarge.
     """
     axes = [tuple(axis) for axis in axes]
+    walked = math.prod(map(len, axes if form is None else axes[:-1]))
+    if walked > WALK_BUDGET:
+        raise BoxTooLarge(f"box walk of {walked} tuples exceeds the budget of {WALK_BUDGET}")
     if form is None:
         return product(*axes)
     gram, value = form
@@ -78,19 +91,24 @@ def _norm_walk(axes, gram, value):
         qh = sum(c * head[i] * head[j] for i, j, c in quad) - value
         lh = sum(c * head[i] for i, c in lin)
         cy = sum(c * head[i] for i, c in cross)
-        for y in prefix[-1]:
-            roots = _integer_roots(g, lh + ly * y, qh + (cy + gyy * y) * y)
-            for x in allowed if roots is None else roots:
-                if x in members:
+        if g:
+            for y in prefix[-1]:
+                for x in _integer_roots(g, lh + ly * y, qh + (cy + gyy * y) * y):
+                    if x in members:
+                        yield (*head, y, x)
+            continue
+        for y in prefix[-1]:  # L*x + Q = 0
+            b, c = lh + ly * y, qh + (cy + gyy * y) * y
+            if b:
+                if c % b == 0 and (x := -c // b) in members:
+                    yield (*head, y, x)
+            elif c == 0:
+                for x in allowed:
                     yield (*head, y, x)
 
 
 def _integer_roots(a: int, b: int, c: int):
-    """Ascending integer roots of a*x^2 + b*x + c; None when every x is a root."""
-    if a == 0:
-        if b == 0:
-            return None if c == 0 else ()
-        return () if c % b else (-c // b,)
+    """Ascending integer roots of a*x^2 + b*x + c, for a != 0."""
     disc = b * b - 4 * a * c
     s = math.isqrt(max(disc, 0))
     if s * s != disc:

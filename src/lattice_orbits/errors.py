@@ -98,5 +98,9 @@ class NegativeCount(LatticeError):
     pass
 
 
+class BoxTooLarge(LatticeError):
+    pass
+
+
 class InvariantViolation(AssertionError):
     """An internal cross-check failed; raised explicitly, so it survives python -O."""

@@ -18,10 +18,10 @@ global negation, and (on even lattices) transvections along an isotropic basis
 vector of the unimodular hyperbolic block. Sampling is reproducible: the same
 seed and length give the same matrix. The pools of the four fixed recipe
 lattices are scanned once per name; an I_s_t pool is written down in closed
-form on each call.
+form on each call, and only its drawn entries are built.
 
 A word is composed from checked generators and certified once, at the end.
-Each pool reflection is certified when the pool is built, each transvection's
+Each pool reflection is certified when it is built, each transvection's
 preconditions are checked when it is drawn, and every step is applied to the
 word as a sparse row update (a row swap, a sign flip, or a low-rank update of
 the rows it moves). The finished matrix then goes through Isometry like any
@@ -206,7 +206,7 @@ _RECIPES = {
     "U_I11": _Recipe(((0, 1), (2, 3)), (), (0,), None),
 }
 
-# I_s_t: reflections only, from the closed-form pool of _diagonal_pool
+# I_s_t: reflections only, from the closed-form pool of _DiagonalPool
 _DIAGONAL_RECIPE = _Recipe((), (), (), None)
 
 _REFLECTION_NORMS = (-1, 1, -2, 2, -4, 4)
@@ -273,10 +273,14 @@ def _pool_entry(lattice: Lattice, delta: tuple[int, ...]) -> _PoolReflection:
     return _PoolReflection(delta, ((_nonzero(-d for d in delta), _nonzero(coeffs)),))
 
 
-def _generator_pool(lattice: Lattice) -> tuple[_PoolReflection, ...]:
-    """Certified reflections for the lattice, deterministic order, sign-deduped."""
+def _generator_pool(lattice: Lattice):
+    """Certified reflections for the lattice, deterministic order, sign-deduped.
+
+    A tuple for the fixed recipes; for I_s_t a _DiagonalPool, which certifies
+    an entry when it is first indexed.
+    """
     if _recipe_for(lattice) is _DIAGONAL_RECIPE:
-        return _diagonal_pool(lattice)
+        return _DiagonalPool(lattice)
     return _recipe_pool(lattice.name)
 
 
@@ -286,23 +290,38 @@ def _recipe_pool(name: str) -> tuple[_PoolReflection, ...]:
     return _scan_pool(resolve(name), _RECIPES[name])
 
 
-def _diagonal_pool(lattice: Lattice) -> tuple[_PoolReflection, ...]:
-    """The pool of I_s_t in closed form, built on each call.
+class _DiagonalPool:
+    """The pool of I_s_t in closed form, one per call; entries built when drawn.
 
     The basis vectors in order, then e_i + e_j and e_i - e_j for each i < j of
     equal sign: the pool, in its order, that a scan of every one- and
-    two-coordinate window finds.
+    two-coordinate window finds. Only the deltas are written down up front; an
+    entry is built and certified the first time it is indexed, so a word
+    certifies only the reflections it draws. len and indexing are all that
+    rng.choice uses, so the draws match those from the full tuple.
     """
-    n, g = lattice.rank, lattice.gram
-    unit = [[int(i == k) for k in range(n)] for i in range(n)]
-    deltas = [tuple(e) for e in unit] + [
-        tuple([a + sign * b for a, b in zip(unit[i], unit[j])])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if g[i][i] == g[j][j]
-        for sign in (1, -1)
-    ]
-    return tuple([_pool_entry(lattice, delta) for delta in deltas])
+
+    def __init__(self, lattice: Lattice):
+        n, g = lattice.rank, lattice.gram
+        unit = [[int(i == k) for k in range(n)] for i in range(n)]
+        self.lattice = lattice
+        self.deltas = [tuple(e) for e in unit] + [
+            tuple([a + sign * b for a, b in zip(unit[i], unit[j])])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if g[i][i] == g[j][j]
+            for sign in (1, -1)
+        ]
+        self.entries: dict[int, _PoolReflection] = {}
+
+    def __len__(self) -> int:
+        return len(self.deltas)
+
+    def __getitem__(self, k: int) -> _PoolReflection:
+        entry = self.entries.get(k)
+        if entry is None:
+            entry = self.entries[k] = _pool_entry(self.lattice, self.deltas[k])
+        return entry
 
 
 def _scan_pool(lattice: Lattice, recipe: _Recipe) -> tuple[_PoolReflection, ...]:

@@ -8,7 +8,8 @@ counterexamples instead of raising, so a violation is data, not a crash.
 
 Enumeration runs single-threaded through the one box walker in enumeration.py,
 which solves the last coordinate when a norm is given; every hit is still
-checked for primitivity and norm here.
+checked here for primitivity (gcd 1, which also rules out the zero vector) and
+for its norm, recomputed from the Gram matrix.
 """
 
 from __future__ import annotations
@@ -69,17 +70,17 @@ def enumerate_primitive(lattice: Lattice, bound: int, norm: int | None = None) -
     """Primitive vectors in the coordinate box, optionally filtered by norm.
 
     Output order is lexicographic over the box and therefore deterministic.
+    A hit has gcd 1, which the zero vector (gcd 0) never has, and its norm is
+    rechecked from the Gram matrix.
     """
     axes = [box_range(bound)] * lattice.rank
     form = None if norm is None else (lattice.gram, norm)
-    hits = tuple(
+    hits = [
         LatticeVector(lattice, coords)
         for coords in box_walk(axes, form)
-        if any(coords)
-        and math.gcd(*coords) == 1
-        and (norm is None or inner(lattice, coords, coords) == norm)
-    )
-    return BoxScan(lattice, bound, norm, hits)
+        if math.gcd(*coords) == 1 and (norm is None or inner(lattice, coords, coords) == norm)
+    ]
+    return BoxScan(lattice, bound, norm, tuple(hits))
 
 
 def random_primitive(lattice: Lattice, rng: random.Random, bound: int) -> LatticeVector:

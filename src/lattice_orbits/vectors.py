@@ -21,16 +21,20 @@ class VectorType(Enum):
     ORDINARY = "ordinary"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeVector:
+    """Slotted, with one hand-written __init__: box scans build one per hit."""
+
     lattice: Lattice
     coords: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.coords) != self.lattice.rank:
+    def __init__(self, lattice: Lattice, coords: tuple[int, ...]):
+        if len(coords) != lattice.rank:
             raise RankMismatch(
-                f"{self.lattice.name} needs {self.lattice.rank} coordinates, got {len(self.coords)}"
+                f"{lattice.name} needs {lattice.rank} coordinates, got {len(coords)}"
             )
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "coords", coords)
 
 
 def vec(lattice: Lattice, coords) -> LatticeVector:

@@ -295,6 +295,25 @@ def test_negative_counts_are_domain_errors(argv):
     assert doc["error"] == "NegativeCount"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--coords", "0,0,0,0,0,0,0,0,1,2,2,0", "--bound", "10"],
+        ["oracle-enumerate", "--lattice", "Lminus", "--bound", "5"],
+        ["oracle-enumerate", "--lattice", "Lminus", "--bound", "5", "--norm", "4"],
+        ["oracle-wall", "--s", "8", "--t", "0", "--bound", "3"],
+        ["oracle-connectivity", "--lattice", "Lminus", "--norm", "2", "--bound", "4"],
+    ],
+)
+def test_over_budget_box_walks_are_domain_errors(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2 and err == ""
+    doc = json.loads(out)
+    check_schema(doc, "error.schema.json")
+    assert doc["error"] == "BoxTooLarge"
+    assert doc["message"].endswith("tuples exceeds the budget of 1000000")
+
+
 _U = resolve("U")
 _NOT_TWISTED = "is not a tagged base(2) + U lattice"
 _NOT_I11 = "is not a tagged base + I_1_1 lattice"

@@ -5,15 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_orbits.enumeration import (
+    WALK_BUDGET,
     box_range,
     box_vectors,
     box_walk,
     check_counts,
     short_vectors_definite,
 )
-from lattice_orbits.errors import LatticeShapeMismatch, NegativeCount
+from lattice_orbits.errors import BoxTooLarge, LatticeError, LatticeShapeMismatch, NegativeCount
 from lattice_orbits.isometries import sample_word
 from lattice_orbits.lattices import Lattice, inner, resolve
+from lattice_orbits.oracle import enumerate_primitive, wall_scan
+from lattice_orbits.orbits import even_witness
+from lattice_orbits.vectors import vec
 
 
 def test_box_vectors_order_and_count():
@@ -167,3 +171,33 @@ def test_indefinite_rejected():
         short_vectors_definite(resolve("U"), 2)
     with pytest.raises(LatticeShapeMismatch):
         short_vectors_definite(resolve("I_1_1"), 1)
+
+
+def test_walk_budget_counts_walked_tuples():
+    # a product walk counts every axis; a norm walk leaves out the solved last one
+    edge = (0,) * 10  # 10^6 = WALK_BUDGET tuples from six such axes
+    assert WALK_BUDGET == 10**6
+    walk = box_walk([edge] * 6)  # lazy: the check runs, nothing is walked
+    assert next(walk) == (0,) * 6
+    box_walk([edge] * 6 + [range(-50, 51)], (((0,) * 7,) * 7, 0))
+    with pytest.raises(BoxTooLarge) as info:
+        box_walk([edge] * 6 + [(0, 1)])
+    assert str(info.value) == "box walk of 2000000 tuples exceeds the budget of 1000000"
+    with pytest.raises(BoxTooLarge):
+        box_walk([edge] * 6 + [(0, 1), (0,)], (((0,) * 8,) * 8, 0))
+    assert issubclass(BoxTooLarge, LatticeError)
+
+
+def test_over_budget_searches_are_refused_before_walking():
+    lminus = resolve("Lminus")
+    with pytest.raises(BoxTooLarge):
+        box_vectors(7, 8)  # 17^7 tuples
+    assert next(box_vectors(6, 4)) == (-4,) * 6  # 9^6 = 531441 tuples, within the budget
+    for call in (
+        lambda: enumerate_primitive(lminus, 5),
+        lambda: enumerate_primitive(lminus, 5, 4),
+        lambda: wall_scan(8, 0, 3),
+        lambda: even_witness(vec(lminus, (0,) * 8 + (1, 2, 2, 0)), 10),
+    ):
+        with pytest.raises(BoxTooLarge):
+            call()

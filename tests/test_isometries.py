@@ -279,6 +279,37 @@ def test_warm_sample_word_certifies_once(monkeypatch):
         assert certified == [word]
 
 
+@pytest.mark.parametrize(
+    "name, seed, length, size",
+    [("I_12_8", 3, 8, 20 + 2 * (12 * 11 // 2 + 8 * 7 // 2)), ("I_2_1", 5, 40, 3 + 2)],
+)
+def test_warm_i_s_t_word_certifies_only_its_draws(monkeypatch, name, seed, length, size):
+    lattice = resolve(name)
+    before = sample_word(lattice, seed, length)  # warms every cache a word may use
+    pools = []
+    certified = []
+    post_init = Isometry.__post_init__
+
+    class RecordedPool(isometries._DiagonalPool):
+        def __init__(self, lattice):
+            super().__init__(lattice)
+            pools.append(self)
+
+    def counted(self):
+        certified.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(isometries, "_DiagonalPool", RecordedPool)
+    monkeypatch.setattr(Isometry, "__post_init__", counted)
+    word = sample_word(lattice, seed, length)
+    assert word == before
+    [pool] = pools
+    assert len(pool) == size
+    # one certification per distinct drawn reflection, then the word itself
+    assert 0 < len(pool.entries) <= min(size, length)
+    assert len(certified) == len(pool.entries) + 1 and certified[-1] is word
+
+
 def test_corrupt_sparse_step_is_refused(monkeypatch):
     real = isometries._apply_update
     corrupted = []
@@ -385,7 +416,7 @@ def test_diagonal_pool_matches_the_window_scan():
             idx = range(s + t)
             windows = tuple((i,) for i in idx) + tuple((i, j) for i in idx for j in idx if i < j)
             scanned = isometries._scan_pool(lattice, isometries._Recipe(windows, (), (), None))
-            assert isometries._generator_pool(lattice) == scanned, (s, t)
+            assert tuple(isometries._generator_pool(lattice)) == scanned, (s, t)
 
 
 def test_pools_are_kept_per_recipe_name_only():

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from lattice_orbits import jsonio
+from lattice_orbits import jsonio, oracle
+from lattice_orbits.enumeration import box_walk
 from lattice_orbits.errors import LatticeError, NegativeCount, NotIsometry, ZeroVector
 from lattice_orbits.isometries import negation
 from lattice_orbits.lattices import inner, resolve
@@ -49,6 +50,27 @@ def test_enumerate_contains_known_vector():
 
 def test_enumerate_empty_box():
     assert enumerate_primitive(LMINUS, 0).vectors == ()
+    # the box of bound 0 holds only the zero vector, which is never a hit
+    for name in ("Lminus", "U2U", "I_1_0", "E8_2"):
+        for value in (None, 0, 2, -4):
+            scan = enumerate_primitive(resolve(name), 0, value)
+            assert scan.vectors == () and (scan.bound, scan.norm) == (0, value)
+
+
+def test_enumerate_rechecks_every_hit(monkeypatch):
+    # a walker that ignored the norm would still give only vectors of that norm
+    want = enumerate_primitive(U2U, 2, -4)
+    monkeypatch.setattr(oracle, "box_walk", lambda axes, form: box_walk(axes))
+    assert enumerate_primitive(U2U, 2, -4) == want
+
+
+@pytest.mark.parametrize("value", [None, 0, 4, -2])
+def test_scans_never_yield_the_zero_vector(value):
+    for name, bound in (("U2U", 2), ("I_2_1", 2), ("I_1_0", 3)):
+        lattice = resolve(name)
+        for v in enumerate_primitive(lattice, bound, value).vectors:
+            assert any(v.coords) and math.gcd(*v.coords) == 1
+            assert value is None or norm(v) == value
 
 
 def test_enumerate_matches_naive_count():

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -11,6 +14,7 @@ from lattice_orbits.errors import (
 )
 from lattice_orbits.lattices import inner, resolve
 from lattice_orbits.vectors import (
+    LatticeVector,
     VectorType,
     characteristic_by_parity,
     is_characteristic,
@@ -133,3 +137,50 @@ def test_wall_congruence():
         wall_congruence_holds(vec(resolve("U2U"), (0, 0, 1, 1)))
     with pytest.raises(NotCharacteristic):
         wall_congruence_holds(vec(resolve("I_1_1"), (1, 0)))
+
+
+def test_lattice_vector_value_semantics():
+    u = resolve("U")
+    v = LatticeVector(u, (1, -2))
+    twin = vec(u, [1, -2])
+    assert v == twin and hash(v) == hash(twin) and v is not twin
+    assert v != vec(u, (-2, 1)) and v != vec(resolve("U2"), (1, -2))
+    assert len({v, twin, vec(u, (0, 1))}) == 2
+    assert repr(v) == (
+        "LatticeVector(lattice=Lattice(name='U', rank=2, gram=((0, 1), (1, 0)), shape=None), "
+        "coords=(1, -2))"
+    )
+    assert not hasattr(v, "__dict__")
+
+
+def test_lattice_vector_is_frozen():
+    v = vec(LMINUS, (0,) * 10 + (1, 4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.coords = (0,) * 12
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.lattice = resolve("U")
+    with pytest.raises((AttributeError, TypeError)):
+        v.extra = 1
+    assert v.coords == (0,) * 10 + (1, 4)
+
+
+def test_lattice_vector_replace_and_round_trips():
+    u2u = resolve("U2U")
+    v = vec(u2u, (1, 0, -1, 2))
+    moved = dataclasses.replace(v, coords=(0, 1, 0, 0))
+    assert moved == vec(u2u, (0, 1, 0, 0)) and moved.lattice is u2u
+    with pytest.raises(RankMismatch, match="U2U needs 4 coordinates, got 2"):
+        dataclasses.replace(v, coords=(1, 0))
+    for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+        assert twin == v and hash(twin) == hash(v) and twin.coords == (1, 0, -1, 2)
+    assert dataclasses.astuple(v)[1] == (1, 0, -1, 2)
+    assert [f.name for f in dataclasses.fields(LatticeVector)] == ["lattice", "coords"]
+
+
+def test_lattice_vector_rank_mismatch_text():
+    with pytest.raises(RankMismatch) as info:
+        LatticeVector(LMINUS, (1, 2, 3))
+    assert str(info.value) == "Lminus needs 12 coordinates, got 3"
+    with pytest.raises(RankMismatch) as info:
+        vec(resolve("U"), ())
+    assert str(info.value) == "U needs 2 coordinates, got 0"
