@@ -5,87 +5,8 @@ tagged base(2) + U lattice) up to isometry: norm parity splits the orbits, the
 characteristic/ordinary distinction separates the two orbits of even half-norm,
 and a norm-halving change of coordinates decides that distinction three
 independent ways. Brute-force oracles recheck everything the fast paths claim.
+Import names from their modules (lattice_orbits.orbits, .oracle, ...); the
+package root exports only __version__, so a command loads only what it runs.
 """
-
-from .dilatation import (
-    HalfVector,
-    dilate,
-    dilate_inverse,
-    double,
-    half_norm,
-    half_target,
-    integral_image,
-    is_integral,
-    true_coords,
-)
-from .errors import LatticeError
-from .isometries import (
-    Isometry,
-    apply,
-    block_swap,
-    certify,
-    compose,
-    identity,
-    negation,
-    reflection,
-    sample_word,
-    transvection,
-)
-from .lattices import (
-    Lattice,
-    Signature,
-    base_plus_i11,
-    builtin_names,
-    determinant,
-    direct_sum,
-    inner,
-    is_even,
-    is_unimodular,
-    make_e8,
-    make_i,
-    make_u,
-    resolve,
-    signature,
-    twist,
-    twisted_plus_u,
-)
-from .oracle import (
-    BoxScan,
-    ConnectivityReport,
-    SuiteResult,
-    connectivity_experiment,
-    e8_root_count,
-    e8_vector_count,
-    enumerate_primitive,
-    invariance_suite,
-    random_primitive,
-    wall_scan,
-)
-from .orbits import (
-    ClassificationReport,
-    HeegnerReport,
-    OrbitLabel,
-    WitnessResult,
-    classify,
-    embed_anti_invariant,
-    embed_invariant,
-    even_witness,
-    heegner_range,
-    heegner_report,
-    is_even_type,
-    representative,
-)
-from .vectors import (
-    LatticeVector,
-    VectorType,
-    characteristic_by_parity,
-    is_characteristic,
-    is_primitive,
-    norm,
-    pair,
-    vec,
-    vector_type,
-    wall_congruence_holds,
-)
 
 __version__ = "0.1.0"

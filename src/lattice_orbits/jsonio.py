@@ -8,13 +8,17 @@ live in docs/schemas/.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .dilatation import HalfVector
-from .isometries import Isometry, certify
 from .lattices import Lattice, is_builtin, resolve
 from .matrix import is_int
-from .orbits import ClassificationReport, HeegnerReport, WitnessResult
-from .oracle import BoxScan, ConnectivityReport, SuiteResult
 from .vectors import LatticeVector
+
+if TYPE_CHECKING:
+    from .isometries import Isometry
+    from .oracle import BoxScan, SuiteResult
+    from .orbits import ClassificationReport, HeegnerReport, WitnessResult
 
 
 def int_list(values, what: str) -> tuple[int, ...]:
@@ -71,6 +75,8 @@ def isometry_to_json(g: Isometry) -> dict:
 
 
 def isometry_from_json(doc: dict) -> Isometry:
+    from .isometries import certify
+
     lattice = lattice_from_ref(doc["lattice"])
     rows = [int_list(row, "matrix entries") for row in doc["matrix"]]
     return certify(lattice, rows)  # refuses anything that is not an isometry
@@ -129,33 +135,3 @@ def suite_to_json(result: SuiteResult) -> dict:
         "stats": result.stats,
     }
 
-
-def connectivity_to_suite(report: ConnectivityReport, seed: int, walks: int, word_length: int) -> SuiteResult:
-    """Wrap a connectivity report in the common suite envelope."""
-    status = "pass" if report.mixed_label_components == 0 else "fail"
-    stats = {
-        "lattice": report.lattice.name,
-        "norm": report.norm,
-        "n": report.norm // 2,
-        "bound": report.bound,
-        "seed": seed,
-        "walks": walks,
-        "word_length": word_length,
-        "vectors": sum(c.size for c in report.components),
-        "component_count": len(report.components),
-        "mixed_label_components": report.mixed_label_components,
-        "edges_applied": report.edges_applied,
-        "edges_kept": report.edges_kept,
-        "components": [
-            {
-                "size": c.size,
-                "labels_present": list(c.labels_present),
-                "contains_representative": c.contains_representative,
-            }
-            for c in report.components
-        ],
-    }
-    counterexample = None
-    if status == "fail":
-        counterexample = {"mixed_label_components": report.mixed_label_components}
-    return SuiteResult("connectivity", status, counterexample, stats)

@@ -298,6 +298,18 @@ def _builtins() -> dict[str, Lattice]:
 _BUILTINS = _builtins()
 
 I_NAME = re.compile(r"I_(\d+)_(\d+)")
+# the largest I_s_t rank resolve builds: a Gram of at most 10^6 entries, the
+# size of the box walk budget
+MAX_I_RANK = 1000
+
+
+def _i_counts(m: re.Match) -> tuple[int, int]:
+    """(s, t) of a matched I_s_t name, refused past MAX_I_RANK before anything is built."""
+    s, t = (digits.lstrip("0") or "0" for digits in m.groups())
+    # five digits are already past the bound, so int() never reads a long string
+    if len(s) > 4 or len(t) > 4 or int(s) + int(t) > MAX_I_RANK:
+        raise RankMismatch(f"I_s_t lattices need s + t <= {MAX_I_RANK}")
+    return int(s), int(t)
 
 
 def resolve(name: str) -> Lattice:
@@ -310,7 +322,7 @@ def resolve(name: str) -> Lattice:
         return found
     m = I_NAME.fullmatch(name)
     if m:
-        return make_i(int(m.group(1)), int(m.group(2)))
+        return make_i(*_i_counts(m))
     raise UnknownLattice(f"no built-in lattice named {name!r}")
 
 
@@ -320,9 +332,9 @@ def is_builtin(lattice: Lattice) -> bool:
     An I_s_t name of another rank is refused before the lattice is built.
     """
     m = I_NAME.fullmatch(lattice.name)
-    if m and int(m.group(1)) + int(m.group(2)) != lattice.rank:
-        return False
     try:
+        if m and sum(_i_counts(m)) != lattice.rank:
+            return False
         return resolve(lattice.name) == lattice
     except LatticeError:  # unknown names, and I_s_t names resolve refuses
         return False

@@ -4,7 +4,8 @@ Nothing here trusts the fast paths: enumeration walks coordinate boxes,
 invariance applies freshly sampled isometry words, connectivity grows a
 union-find forest from random walk edges, and the Wall scan rechecks the mod-8
 congruence vector by vector. Suites return pass/fail values with
-counterexamples instead of raising, so a violation is data, not a crash.
+counterexamples instead of raising, so a violation is data, not a crash;
+every SuiteResult is built here, and a suite passes when it has no counterexample.
 
 Enumeration runs single-threaded through the one box walker in enumeration.py,
 which solves the last coordinate when a norm is given; every hit is still
@@ -26,7 +27,7 @@ from .errors import (
     OddNormInEvenLattice,
     ZeroVector,
 )
-from .isometries import Isometry, apply, certify, sample_word
+from .isometries import apply, certify, sample_word
 from .lattices import Lattice, inner, is_unimodular, resolve, signature
 from .orbits import OrbitLabel, classify, representative
 from .vectors import LatticeVector, VectorType, norm, vector_type
@@ -46,6 +47,11 @@ class SuiteResult:
     status: str  # "pass" | "fail"
     counterexample: dict | None
     stats: dict
+
+
+def _verdict(suite: str, counterexample: dict | None, stats: dict) -> SuiteResult:
+    """A suite passes exactly when it found no counterexample."""
+    return SuiteResult(suite, "pass" if counterexample is None else "fail", counterexample, stats)
 
 
 @dataclass(frozen=True)
@@ -129,53 +135,11 @@ def invariance_suite(
         for iso in (word, *extra):
             after = classify(apply(iso, v)).label
             if after is not before:
-                return SuiteResult(
-                    "invariance",
-                    "fail",
-                    {
-                        "coords": list(v.coords),
-                        "label_before": before.value,
-                        "label_after": after.value,
-                    },
-                    stats,
-                )
+                counterexample = {"coords": list(v.coords), "label_before": before.value,
+                                  "label_after": after.value}
+                return _verdict("invariance", counterexample, stats)
         stats["checked"] += 1
-    return SuiteResult("invariance", "pass", None, stats)
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-        self.rank = {}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            self.rank[x] = 0
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-
-    def groups(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
+    return _verdict("invariance", None, stats)
 
 
 def connectivity_experiment(
@@ -196,11 +160,14 @@ def connectivity_experiment(
     """
     check_counts(bound=bound, walks=walks, word_length=word_length)
     scan = enumerate_primitive(lattice, bound, norm)
-    uf = _UnionFind()
-    labels = {}
-    for v in scan.vectors:
-        uf.add(v.coords)
-        labels[v.coords] = classify(v).label
+    labels = {v.coords: classify(v).label for v in scan.vectors}
+    parent = {coords: coords for coords in labels}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
     edges_applied = edges_kept = 0
     rng = random.Random(seed)
     pool = list(scan.vectors)
@@ -211,7 +178,7 @@ def connectivity_experiment(
             w = apply(word, v)
             edges_applied += 1
             if w.coords in labels:
-                uf.union(v.coords, w.coords)
+                parent[find(v.coords)] = find(w.coords)
                 edges_kept += 1
     reps = {}
     for label in OrbitLabel:
@@ -220,15 +187,46 @@ def connectivity_experiment(
         except (LabelParityMismatch, LatticeShapeMismatch, OddNormInEvenLattice):
             continue  # no representative means the label cannot occur at this norm
         reps[label] = cand.coords
+    groups = {}
+    for coords in labels:
+        groups.setdefault(find(coords), set()).add(coords)
     components = []
-    for members in sorted(uf.groups().values(), key=min):
+    for members in sorted(groups.values(), key=min):  # by smallest member, whichever root won
         present = tuple(sorted({labels[m].value for m in members}))
-        has_rep = any(coords in set(members) for coords in reps.values())
+        has_rep = any(coords in members for coords in reps.values())
         components.append(ComponentSummary(len(members), present, has_rep))
     mixed = sum(1 for c in components if len(c.labels_present) > 1)
     return ConnectivityReport(
         lattice, norm, bound, tuple(components), mixed, edges_applied, edges_kept
     )
+
+
+def connectivity_to_suite(report: ConnectivityReport, seed: int, walks: int, word_length: int) -> SuiteResult:
+    """Wrap a connectivity report in the common suite envelope."""
+    stats = {
+        "lattice": report.lattice.name,
+        "norm": report.norm,
+        "n": report.norm // 2,
+        "bound": report.bound,
+        "seed": seed,
+        "walks": walks,
+        "word_length": word_length,
+        "vectors": sum(c.size for c in report.components),
+        "component_count": len(report.components),
+        "mixed_label_components": report.mixed_label_components,
+        "edges_applied": report.edges_applied,
+        "edges_kept": report.edges_kept,
+        "components": [
+            {
+                "size": c.size,
+                "labels_present": list(c.labels_present),
+                "contains_representative": c.contains_representative,
+            }
+            for c in report.components
+        ],
+    }
+    mixed = report.mixed_label_components
+    return _verdict("connectivity", {"mixed_label_components": mixed} if mixed else None, stats)
 
 
 def wall_scan(s: int, t: int, bound: int) -> SuiteResult:
@@ -239,24 +237,17 @@ def wall_scan(s: int, t: int, bound: int) -> SuiteResult:
         raise NotUnimodular(f"{lattice.name} has |det| != 1")
     sig = signature(lattice)
     checked = 0
+    counterexample = None
     for coords in box_vectors(lattice.rank, bound):
         v = LatticeVector(lattice, coords)
         if vector_type(v) is not VectorType.CHARACTERISTIC:
             continue
         checked += 1
         if (norm(v) - (sig.positive - sig.negative)) % 8 != 0:
-            return SuiteResult(
-                "wall-congruence",
-                "fail",
-                {"coords": list(coords)},
-                {"s": s, "t": t, "bound": bound, "characteristic_vectors": checked},
-            )
-    return SuiteResult(
-        "wall-congruence",
-        "pass",
-        None,
-        {"s": s, "t": t, "bound": bound, "characteristic_vectors": checked},
-    )
+            counterexample = {"coords": list(coords)}
+            break
+    stats = {"s": s, "t": t, "bound": bound, "characteristic_vectors": checked}
+    return _verdict("wall-congruence", counterexample, stats)
 
 
 # classical anchors for the definite enumerator
@@ -270,3 +261,11 @@ def e8_vector_count(norm: int = -2) -> int:
 
 def e8_root_count() -> int:
     return e8_vector_count(-2)
+
+
+def e8_suite(norm: int = -2) -> SuiteResult:
+    """The E8 count at a norm, checked against the classical anchor when there is one."""
+    count = e8_vector_count(norm)
+    expected = EXPECTED_E8_COUNTS.get(norm)
+    counterexample = None if expected in (None, count) else {"count": count, "expected": expected}
+    return _verdict("e8-count", counterexample, {"norm": norm, "count": count, "expected": expected})

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+from lattice_orbits import lattices
 from lattice_orbits.cli import run
 from lattice_orbits.dilatation import HalfVector, half_target
 from lattice_orbits.errors import LatticeShapeMismatch
@@ -314,6 +315,26 @@ def test_over_budget_box_walks_are_domain_errors(argv):
     assert doc["message"].endswith("tuples exceeds the budget of 1000000")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "--lattice", "I_" + "9" * 5000 + "_0"],  # past int()'s 4300-digit limit
+        ["oracle-wall", "--s", "100000", "--t", "0"],
+        ["classify", "--lattice", "I_1000_1", "--coords", "1"],
+    ],
+)
+def test_oversized_i_s_t_is_refused_before_it_is_built(argv, monkeypatch):
+    def refuse(s, t):
+        raise AssertionError(f"make_i({s}, {t}) was called")
+
+    monkeypatch.setattr(lattices, "make_i", refuse)
+    code, out, err = run_cli(argv)
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    check_schema(doc, "error.schema.json")
+    assert doc == {"error": "RankMismatch", "message": "I_s_t lattices need s + t <= 1000"}
+
+
 _U = resolve("U")
 _NOT_TWISTED = "is not a tagged base(2) + U lattice"
 _NOT_I11 = "is not a tagged base + I_1_1 lattice"
@@ -364,6 +385,40 @@ def test_oracle_connectivity_deterministic():
     assert doc["stats"]["mixed_label_components"] == 0
     check_schema(doc, "suite_result.schema.json")
     assert run_cli(argv)[1] == first
+
+
+# commands that never run an oracle, each with an argv that succeeds
+LIGHT_COMMANDS = [
+    ["classify", "--coords", ODD_COORDS],
+    ["rep", "--norm", "8", "--class", "characteristic"],
+    ["phi", "--coords", "0,0,0,0,0,0,0,0,0,0,1,3"],
+    ["phi-inv", "--base", "E8_U_I11", "--doubled", "0,0,0,0,0,0,0,0,0,0,4,-2"],
+    ["even-type", "--coords", "0,0,0,0,0,0,0,0,1,1,0,0"],
+    ["witness", "--coords", "0,0,0,0,0,0,0,0,2,1,0,0"],
+    ["heegner", "--from", "-2", "--to", "2"],
+    ["info", "--lattice", "Lminus"],
+]
+
+# after each argv: its exit code and which of the oracle modules are loaded
+_LOADED_AFTER = """
+import io, json, sys
+from lattice_orbits.cli import run
+heavy = ("lattice_orbits.isometries", "lattice_orbits.oracle")
+seen = []
+for argv in json.loads(sys.argv[1]):
+    code = run(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    seen.append([code, [m for m in heavy if m in sys.modules]])
+print(json.dumps(seen))
+"""
+
+
+def test_commands_load_only_what_they_run(package_env):
+    argvs = [*LIGHT_COMMANDS, ["oracle-e8"]]  # the oracle command last, as a control
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)],
+                          env=package_env, capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout)
+    assert seen[:-1] == [[0, []]] * len(LIGHT_COMMANDS)
+    assert seen[-1] == [0, ["lattice_orbits.isometries", "lattice_orbits.oracle"]]
 
 
 def test_usage_errors():

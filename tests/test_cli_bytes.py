@@ -1,0 +1,158 @@
+"""The CLI's exact bytes, pinned.
+
+Each group runs a fixed list of argvs in process and hashes, per call, the
+argv, the stdin text, the exit code, stdout and stderr. The digests were
+recorded before the CLI stopped importing the oracles for every command, so
+any change to a document, a help text, a message or an exit code shows here.
+Help texts are rendered at a fixed terminal width; argparse's help layout also
+varies across Python minor versions, and these digests were recorded on 3.11.
+"""
+
+import hashlib
+import io
+from types import SimpleNamespace
+
+import pytest
+
+from lattice_orbits import oracle
+from lattice_orbits.cli import run
+from lattice_orbits.orbits import OrbitLabel
+
+ODD = "0,0,0,0,0,0,0,0,0,0,1,5"
+NEGATE_U2U = "[[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]"
+COMMANDS = (
+    "info", "classify", "rep", "phi", "phi-inv", "even-type", "witness", "heegner",
+    "oracle-invariance", "oracle-enumerate", "oracle-connectivity", "oracle-wall", "oracle-e8",
+)
+
+DOCUMENTS = [
+    ["info", "--lattice", "U"],
+    ["info", "--lattice", "Lminus"],
+    ["info", "--lattice", "I_2_3"],
+    ["classify", "--coords", ODD],
+    ["classify", "--lattice", "U2U", "--coords", "0,0,1,4"],
+    (["classify", "--from-json", "-"], '{"lattice": "U2U", "coords": [0, 0, 1, 4]}'),
+    (["classify", "--lattice", "U2U", "--from-json", "-"], '{"coords": [1, 0, 1, 2]}'),
+    ["rep", "--norm", "8", "--class", "characteristic"],
+    ["rep", "--n", "4", "--class", "ordinary"],
+    ["rep", "--norm", "10"],
+    ["rep", "--lattice", "U2U", "--norm", "-4", "--class", "ordinary"],
+    ["phi", "--coords", "0,0,0,0,0,0,0,0,0,0,1,3"],
+    ["phi-inv", "--base", "E8_U_I11", "--doubled", "0,0,0,0,0,0,0,0,0,0,4,-2"],
+    ["even-type", "--coords", "0,0,0,0,0,0,0,0,1,1,0,0"],
+    ["even-type", "--coords", "0,0,0,0,0,0,0,0,0,0,2,1"],
+    ["witness", "--coords", "0,0,0,0,0,0,0,0,2,1,0,0"],
+    ["witness", "--coords", "0,0,0,0,0,0,0,0,0,0,2,1"],
+    ["heegner", "--from", "-2", "--to", "2"],
+    ["oracle-invariance", "--lattice", "U2U", "--samples", "20", "--seed", "7"],
+    (["oracle-invariance", "--lattice", "U2U", "--samples", "3", "--isometry-json", "-"], NEGATE_U2U),
+    ["oracle-enumerate", "--lattice", "U2U", "--bound", "1"],
+    ["oracle-enumerate", "--lattice", "U2U", "--bound", "2", "--norm", "-2"],
+    ["oracle-connectivity", "--lattice", "U2U", "--norm", "2", "--bound", "2", "--walks", "100"],
+    ["oracle-connectivity", "--lattice", "U2U", "--norm", "3", "--bound", "2", "--walks", "10"],
+    ["oracle-wall", "--s", "1", "--t", "2", "--bound", "2"],
+    ["oracle-e8"],
+    ["oracle-e8", "--norm", "2"],
+]
+
+PRETTY = [
+    ["--pretty", "info", "--lattice", "U2U"],
+    ["--pretty", "classify", "--coords", ODD],
+    ["--pretty", "rep", "--norm", "8", "--class", "characteristic"],
+    ["--pretty", "phi", "--coords", "0,0,0,0,0,0,0,0,0,0,1,3"],
+    ["--pretty", "even-type", "--coords", "0,0,0,0,0,0,0,0,1,1,0,0"],
+    ["--pretty", "witness", "--coords", "0,0,0,0,0,0,0,0,2,1,0,0"],
+    ["--pretty", "witness", "--coords", "0,0,0,0,0,0,0,0,0,0,2,1"],
+    ["--pretty", "heegner", "--from", "0", "--to", "1"],
+    ["--pretty", "oracle-invariance", "--lattice", "U2U", "--samples", "5"],
+    ["--pretty", "oracle-enumerate", "--lattice", "U2U", "--bound", "1", "--norm", "-2"],
+    ["--pretty", "oracle-connectivity", "--lattice", "U2U", "--norm", "2", "--bound", "2", "--walks", "20"],
+    ["--pretty", "oracle-wall", "--s", "1", "--t", "1", "--bound", "2"],
+    ["--pretty", "oracle-e8"],
+    ["--pretty", "classify", "--coords", "0,0,0,0,0,0,0,0,0,0,2,4"],
+]
+
+HELP = [["--help"], ["-h"], *([command, "--help"] for command in COMMANDS)]
+
+# one usage error (exit 1) and one domain error (exit 2) per command; heegner
+# and oracle-e8 have no input that is a domain error
+ERRORS = [
+    [],
+    ["no-such-command"],
+    ["info"],
+    ["info", "--lattice", "Nope"],
+    ["classify"],
+    ["classify", "--coords", "1,a,3"],
+    (["classify", "--from-json", "-"], "{}"),
+    (["classify", "--from-json", "-"], "not json"),
+    ["classify", "--coords", "0,0,0,0,0,0,0,0,0,0,2,4"],
+    ["rep", "--norm", "8"],
+    ["rep", "--norm", "7", "--class", "odd"],
+    ["phi"],
+    ["phi", "--lattice", "U2", "--coords", "1,1"],
+    ["phi-inv", "--base", "E8_U_I11"],
+    ["phi-inv", "--base", "E8_U_I11", "--doubled", "0,0,0,0,0,0,0,0,0,0,1,2"],
+    ["even-type", "--coords", "x"],
+    ["even-type", "--coords", ODD],
+    ["witness", "--coords", ODD, "--bound", "two"],
+    ["witness", "--coords", "0,0,0,0,0,0,0,0,1,2,2,0", "--bound", "-1"],
+    ["heegner", "--from", "3", "--to", "1"],
+    ["heegner", "--from", "1"],
+    (["oracle-invariance", "--lattice", "U2U", "--isometry-json", "-"], "[3]"),
+    (["oracle-invariance", "--lattice", "U2U", "--samples", "5", "--isometry-json", "-"],
+     "[[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]"),
+    ["oracle-enumerate", "--bound", "1"],
+    ["oracle-enumerate", "--lattice", "Lminus", "--bound", "5"],
+    ["oracle-connectivity"],
+    ["oracle-connectivity", "--norm", "2", "--walks", "-1"],
+    ["oracle-wall", "--s", "1"],
+    ["oracle-wall", "--s", "1", "--t", "2", "--bound", "-1"],
+    ["oracle-e8", "--norm", "-2.5"],
+]
+
+# run with every suite made to report a violation (exit 3), see _break_suites
+FAILURES = [
+    ["oracle-invariance", "--lattice", "U2U", "--samples", "20", "--seed", "7"],
+    ["oracle-connectivity", "--lattice", "U2U", "--norm", "2", "--bound", "2", "--walks", "100"],
+    ["oracle-wall", "--s", "1", "--t", "2", "--bound", "2"],
+    ["oracle-e8"],
+    ["--pretty", "oracle-e8"],
+]
+
+PINNED = {
+    "documents": "aa99c89bfab43e3861a79981ba5bb14093d5d7b6ce1a2af79dc6ca567c3d1daa",
+    "pretty": "62221313f041ce2796f99c116d1e77545ec9685c787a4e1987727dbe6f2fdb08",
+    "help": "7a92cbcb2991cd11b7878a6460697f6c6be81b579a1fd68fba386d622ab19506",
+    "errors": "9b19f126ce4e3b36c440757beb65ff3e95943f4dc4dad357e5fa215e164c1be5",
+    "failures": "d5b6f682b8c2ec794f089b14d887f3065812ec4c31c3470f17a16cd89b07fb52",
+}
+
+
+def _digest(cases) -> str:
+    digest = hashlib.sha256()
+    for case in cases:
+        argv, stdin_text = case if isinstance(case, tuple) else (case, "")
+        out, err = io.StringIO(), io.StringIO()
+        code = run(argv, stdout=out, stderr=err, stdin=io.StringIO(stdin_text))
+        digest.update(repr((argv, stdin_text, code, out.getvalue(), err.getvalue())).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _break_suites(monkeypatch):
+    """A wrong E8 count, norms off by one and labels split by the sign of x0."""
+    monkeypatch.setitem(oracle.EXPECTED_E8_COUNTS, -2, 241)
+    monkeypatch.setattr(oracle, "norm", lambda v: 1 + oracle.inner(v.lattice, v.coords, v.coords))
+    monkeypatch.setattr(oracle, "classify", lambda v: SimpleNamespace(
+        label=OrbitLabel.ODD if v.coords[0] > 0 else OrbitLabel.EVEN_ORDINARY))
+
+
+@pytest.mark.parametrize(
+    "group, cases",
+    [("documents", DOCUMENTS), ("pretty", PRETTY), ("help", HELP), ("errors", ERRORS),
+     ("failures", FAILURES)],
+)
+def test_cli_bytes_pinned(group, cases, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    if group == "failures":
+        _break_suites(monkeypatch)
+    assert _digest(cases) == PINNED[group]

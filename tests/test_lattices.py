@@ -207,6 +207,14 @@ def test_resolve_hands_out_one_value_per_builtin_name(name):
     assert is_builtin(resolve(name))
 
 
+def test_resolve_bounds_i_s_t_rank():
+    assert resolve("I_999_1").rank == 1000
+    assert resolve("I_002_03") == make_i(2, 3)  # leading zeros read as before
+    for name in ("I_1000_1", "I_0_1001", "I_10000_0", "I_00000000000001001_0"):
+        with pytest.raises(RankMismatch, match=r"need s \+ t <= 1000"):
+            resolve(name)
+
+
 def test_resolve_builds_i_s_t_on_each_call():
     assert resolve("I_2_3") == resolve("I_2_3") == make_i(2, 3)
     assert is_builtin(make_i(2, 3))
@@ -222,6 +230,7 @@ def test_resolve_builds_i_s_t_on_each_call():
         (Lattice("I_2_1", 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))), False),
         (Lattice("I_0_0", 1, ((1,),)), False),  # resolve refuses the name with EmptyLattice
         (Lattice("I_600_0", 1, ((1,),)), False),  # the name spells another rank
+        (Lattice("I_" + "9" * 5000 + "_0", 1, ((1,),)), False),  # past int()'s digit limit
     ],
 )
 def test_is_builtin(lattice, builtin):
