@@ -102,5 +102,9 @@ class BoxTooLarge(LatticeError):
     pass
 
 
+class LimitExceeded(LatticeError):
+    """A request past a fixed work cap other than the box walk budget."""
+
+
 class InvariantViolation(AssertionError):
     """An internal cross-check failed; raised explicitly, so it survives python -O."""

@@ -18,7 +18,9 @@ whether a lattice is what `resolve` gives for its name.
 Each lattice also carries its nonzero Gram terms, derived from the matrix on
 first use. Lminus has 26 nonzero entries out of 144, so form evaluations run
 over the terms; a diagonal matrix shows in them at no cost, which makes its
-determinant and signature linear in the rank.
+determinant and signature linear in the rank. The norm c^T G c has one
+evaluator, `quadratic`, over the upper-triangle terms: 17 of them on Lminus,
+each off-diagonal entry once with a factor of 2.
 """
 
 from __future__ import annotations
@@ -82,6 +84,22 @@ class Lattice:
             terms = gram_terms(self.gram)
             object.__setattr__(self, "_terms", terms)
             return terms
+
+    @property
+    def upper_terms(self) -> list[tuple[int, int, int]]:
+        """(i, j, k) for each nonzero Gram entry with i <= j, built on first use.
+
+        k is the entry on the diagonal and twice the entry above it, so the
+        sum of k*c[i]*c[j] is c^T G c. Stored like `terms`, outside equality,
+        hashing and repr.
+        """
+        try:
+            return self._upper_terms
+        except AttributeError:
+            upper = [(i, j, g if i == j else 2 * g)
+                     for i, row in enumerate(self.terms) for j, g in row if i <= j]
+            object.__setattr__(self, "_upper_terms", upper)
+            return upper
 
 
 def gram_terms(gram: matrix.IntMatrix) -> list[list[tuple[int, int]]]:
@@ -192,6 +210,20 @@ def inner(lattice: Lattice, v, w) -> int:
     if len(v) != lattice.rank or len(w) != lattice.rank:
         raise RankMismatch(f"expected {lattice.rank} coordinates")
     return sum([x * g * w[j] for x, row in zip(v, lattice.terms) if x for j, g in row])
+
+
+def quadratic(lattice: Lattice, c) -> int:
+    """c^T G c for a coordinate tuple of length rank; the one norm formula.
+
+    Runs over the upper-triangle terms, so each off-diagonal product is
+    computed once. The caller guarantees the length, as a LatticeVector does;
+    `inner` is the checked form of the same value. A plain loop: on Python
+    3.11 it beats sum() over a comprehension by about half on U2U.
+    """
+    total = 0
+    for i, j, k in lattice.upper_terms:
+        total += k * c[i] * c[j]
+    return total
 
 
 def gram_vec(lattice: Lattice, v) -> list[int]:
@@ -329,15 +361,23 @@ def resolve(name: str) -> Lattice:
 def is_builtin(lattice: Lattice) -> bool:
     """True when resolve gives this lattice back for its own name.
 
-    An I_s_t name of another rank is refused before the lattice is built.
+    An I_s_t name is checked without building make_i(s, t): the name must be
+    the canonical one (no leading zeros), the rank s + t, no shape tag, and
+    the diagonal read off the terms s ones then t minus-ones.
     """
     m = I_NAME.fullmatch(lattice.name)
     try:
-        if m and sum(_i_counts(m)) != lattice.rank:
-            return False
-        return resolve(lattice.name) == lattice
+        if m is None:
+            return resolve(lattice.name) == lattice
+        s, t = _i_counts(m)
     except LatticeError:  # unknown names, and I_s_t names resolve refuses
         return False
+    return (
+        s + t == lattice.rank
+        and lattice.name == f"I_{s}_{t}"
+        and lattice.shape is None
+        and _diagonal(lattice) == [1] * s + [-1] * t
+    )
 
 
 def builtin_names() -> tuple[str, ...]:

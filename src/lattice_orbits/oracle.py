@@ -10,7 +10,8 @@ every SuiteResult is built here, and a suite passes when it has no counterexampl
 Enumeration runs single-threaded through the one box walker in enumeration.py,
 which solves the last coordinate when a norm is given; every hit is still
 checked here for primitivity (gcd 1, which also rules out the zero vector) and
-for its norm, recomputed from the Gram matrix.
+for its norm, recomputed from the Gram matrix by lattices.quadratic rather than
+taken from the walker's solved-coordinate arithmetic.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from .enumeration import box_range, box_vectors, box_walk, check_counts, short_v
 from .errors import (
     LabelParityMismatch,
     LatticeShapeMismatch,
+    LimitExceeded,
     NotUnimodular,
     OddNormInEvenLattice,
     ZeroVector,
 )
 from .isometries import apply, certify, sample_word
-from .lattices import Lattice, inner, is_unimodular, resolve, signature
+from .lattices import Lattice, is_unimodular, quadratic, resolve, signature
 from .orbits import OrbitLabel, classify, representative
 from .vectors import LatticeVector, VectorType, norm, vector_type
 
@@ -76,16 +78,21 @@ def enumerate_primitive(lattice: Lattice, bound: int, norm: int | None = None) -
     """Primitive vectors in the coordinate box, optionally filtered by norm.
 
     Output order is lexicographic over the box and therefore deterministic.
-    A hit has gcd 1, which the zero vector (gcd 0) never has, and its norm is
-    rechecked from the Gram matrix.
+    A hit has gcd 1, which the zero vector (gcd 0) never has. With a norm,
+    each hit's c^T G c is recomputed by lattices.quadratic, the formula
+    vectors.norm uses, so a walker that yielded a wrong tuple is caught here;
+    the unfiltered scan walks the plain box and filters on gcd alone.
     """
     axes = [box_range(bound)] * lattice.rank
-    form = None if norm is None else (lattice.gram, norm)
-    hits = [
-        LatticeVector(lattice, coords)
-        for coords in box_walk(axes, form)
-        if math.gcd(*coords) == 1 and (norm is None or inner(lattice, coords, coords) == norm)
-    ]
+    gcd = math.gcd
+    if norm is None:
+        hits = [LatticeVector(lattice, c) for c in box_walk(axes) if gcd(*c) == 1]
+    else:
+        hits = [
+            LatticeVector(lattice, c)
+            for c in box_walk(axes, (lattice.gram, norm))
+            if gcd(*c) == 1 and quadratic(lattice, c) == norm
+        ]
     return BoxScan(lattice, bound, norm, tuple(hits))
 
 
@@ -252,10 +259,20 @@ def wall_scan(s: int, t: int, bound: int) -> SuiteResult:
 
 # classical anchors for the definite enumerator
 EXPECTED_E8_COUNTS = {-2: 240, -4: 2160}
+# the lowest norm e8_vector_count enumerates: the shell of norm -2k holds
+# 240*sigma_3(k) vectors, at most 82,560 for k <= 7 and over 10^5 for k >= 8
+# (sigma_3(k) >= k^3); an odd norm below -14 searches a ball at least as large
+E8_MIN_NORM = -14
 
 
 def e8_vector_count(norm: int = -2) -> int:
-    """Number of vectors of the given norm in the definite E8 lattice."""
+    """Number of vectors of the given norm in the definite E8 lattice.
+
+    A norm below E8_MIN_NORM is refused with LimitExceeded before anything
+    is enumerated; positive norms count 0 at once.
+    """
+    if norm < E8_MIN_NORM:
+        raise LimitExceeded(f"E8 vector counts need norm >= {E8_MIN_NORM}, got {norm}")
     return len(short_vectors_definite(resolve("E8"), norm))
 
 

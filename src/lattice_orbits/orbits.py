@@ -33,6 +33,7 @@ from .errors import (
     InvariantViolation,
     LabelParityMismatch,
     LatticeShapeMismatch,
+    LimitExceeded,
     NonPrimitive,
     OddNormInEvenLattice,
     ZeroVector,
@@ -232,6 +233,16 @@ def heegner_report(n: int, lattice: Lattice | None = None) -> HeegnerReport:
     return HeegnerReport(n, 2 * n, comps)
 
 
+# the most values of n heegner_range reports on, about 12 s of reports
+HEEGNER_MAX_RANGE = 10**4
+
+
 def heegner_range(n_min: int, n_max: int, lattice: Lattice | None = None):
-    """Reports for every n in [n_min, n_max]; empty when the range is empty."""
+    """Reports for every n in [n_min, n_max]; empty when the range is empty.
+
+    A range of more than HEEGNER_MAX_RANGE values is refused with
+    LimitExceeded before any report is built.
+    """
+    if n_max - n_min + 1 > HEEGNER_MAX_RANGE:
+        raise LimitExceeded(f"heegner ranges hold at most {HEEGNER_MAX_RANGE} values of n")
     return tuple(heegner_report(n, lattice) for n in range(n_min, n_max + 1))

@@ -13,7 +13,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NotCharacteristic, NotUnimodular, RankMismatch, ZeroVector
-from .lattices import BASE_PLUS_I11, Lattice, gram_vec, inner, is_unimodular, signature, split_base
+from .lattices import (
+    BASE_PLUS_I11,
+    Lattice,
+    gram_vec,
+    inner,
+    is_unimodular,
+    quadratic,
+    signature,
+    split_base,
+)
 
 
 class VectorType(Enum):
@@ -23,7 +32,14 @@ class VectorType(Enum):
 
 @dataclass(frozen=True, slots=True)
 class LatticeVector:
-    """Slotted, with one hand-written __init__: box scans build one per hit."""
+    """Slotted, with one hand-written __init__: box scans build one per hit.
+
+    __init__ checks the rank and writes both fields through their slot
+    descriptors' setters, bound once below the class, instead of looking each
+    name up through object.__setattr__. The frozen __setattr__ still refuses
+    every later assignment; replace, pickle and copy go through the
+    dataclass machinery as before.
+    """
 
     lattice: Lattice
     coords: tuple[int, ...]
@@ -33,8 +49,12 @@ class LatticeVector:
             raise RankMismatch(
                 f"{lattice.name} needs {lattice.rank} coordinates, got {len(coords)}"
             )
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "coords", coords)
+        _set_lattice(self, lattice)
+        _set_coords(self, coords)
+
+
+_set_lattice = LatticeVector.lattice.__set__
+_set_coords = LatticeVector.coords.__set__
 
 
 def vec(lattice: Lattice, coords) -> LatticeVector:
@@ -42,7 +62,7 @@ def vec(lattice: Lattice, coords) -> LatticeVector:
 
 
 def norm(v: LatticeVector) -> int:
-    return inner(v.lattice, v.coords, v.coords)
+    return quadratic(v.lattice, v.coords)
 
 
 def pair(v: LatticeVector, w: LatticeVector) -> int:

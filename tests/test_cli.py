@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from lattice_orbits import lattices
+from lattice_orbits import lattices, oracle, orbits
 from lattice_orbits.cli import run
 from lattice_orbits.dilatation import HalfVector, half_target
 from lattice_orbits.errors import LatticeShapeMismatch
@@ -333,6 +333,28 @@ def test_oversized_i_s_t_is_refused_before_it_is_built(argv, monkeypatch):
     doc = json.loads(out)
     check_schema(doc, "error.schema.json")
     assert doc == {"error": "RankMismatch", "message": "I_s_t lattices need s + t <= 1000"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["heegner", "--from", "0", "--to", "10000"], "heegner ranges hold at most 10000 values of n"),
+        (["heegner", "--from", "1", "--to", "100000000"], "heegner ranges hold at most 10000 values of n"),
+        (["oracle-e8", "--norm", "-16"], "E8 vector counts need norm >= -14, got -16"),
+        (["oracle-e8", "--norm", "-99999999"], "E8 vector counts need norm >= -14, got -99999999"),
+    ],
+)
+def test_work_caps_are_refused_before_any_work(argv, message, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the capped work started")
+
+    monkeypatch.setattr(orbits, "heegner_report", refuse)
+    monkeypatch.setattr(oracle, "short_vectors_definite", refuse)
+    code, out, err = run_cli(argv)
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    check_schema(doc, "error.schema.json")
+    assert doc == {"error": "LimitExceeded", "message": message}
 
 
 _U = resolve("U")

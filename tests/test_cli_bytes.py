@@ -74,8 +74,8 @@ PRETTY = [
 
 HELP = [["--help"], ["-h"], *([command, "--help"] for command in COMMANDS)]
 
-# one usage error (exit 1) and one domain error (exit 2) per command; heegner
-# and oracle-e8 have no input that is a domain error
+# one usage error (exit 1) and one domain error (exit 2) per command; the
+# domain errors of heegner and oracle-e8 came later and are pinned in BOUNDS
 ERRORS = [
     [],
     ["no-such-command"],
@@ -110,6 +110,18 @@ ERRORS = [
     ["oracle-e8", "--norm", "-2.5"],
 ]
 
+# the work caps of heegner (10^4 values of n) and oracle-e8 (norm >= -14), at
+# and past each cap; the allowed oracle-e8 --norm -14 is too slow for this list
+BOUNDS = [
+    ["heegner", "--from", "0", "--to", "10000"],
+    ["heegner", "--from", "-5", "--to", "100000000"],
+    ["--pretty", "heegner", "--from", "0", "--to", "10000"],
+    ["oracle-e8", "--norm", "-16"],
+    ["oracle-e8", "--norm", "-15"],
+    ["oracle-e8", "--norm", "-1000000000"],
+    ["oracle-e8", "--norm", "1000000000"],
+]
+
 # run with every suite made to report a violation (exit 3), see _break_suites
 FAILURES = [
     ["oracle-invariance", "--lattice", "U2U", "--samples", "20", "--seed", "7"],
@@ -125,6 +137,7 @@ PINNED = {
     "help": "7a92cbcb2991cd11b7878a6460697f6c6be81b579a1fd68fba386d622ab19506",
     "errors": "9b19f126ce4e3b36c440757beb65ff3e95943f4dc4dad357e5fa215e164c1be5",
     "failures": "d5b6f682b8c2ec794f089b14d887f3065812ec4c31c3470f17a16cd89b07fb52",
+    "bounds": "606c3b86868db5cd8062a029d7f03f3944c2fc8fcb2dd479ff8ae5bea773d514",
 }
 
 
@@ -141,7 +154,8 @@ def _digest(cases) -> str:
 def _break_suites(monkeypatch):
     """A wrong E8 count, norms off by one and labels split by the sign of x0."""
     monkeypatch.setitem(oracle.EXPECTED_E8_COUNTS, -2, 241)
-    monkeypatch.setattr(oracle, "norm", lambda v: 1 + oracle.inner(v.lattice, v.coords, v.coords))
+    honest_norm = oracle.norm
+    monkeypatch.setattr(oracle, "norm", lambda v: 1 + honest_norm(v))
     monkeypatch.setattr(oracle, "classify", lambda v: SimpleNamespace(
         label=OrbitLabel.ODD if v.coords[0] > 0 else OrbitLabel.EVEN_ORDINARY))
 
@@ -149,7 +163,7 @@ def _break_suites(monkeypatch):
 @pytest.mark.parametrize(
     "group, cases",
     [("documents", DOCUMENTS), ("pretty", PRETTY), ("help", HELP), ("errors", ERRORS),
-     ("failures", FAILURES)],
+     ("failures", FAILURES), ("bounds", BOUNDS)],
 )
 def test_cli_bytes_pinned(group, cases, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_orbits import jsonio, lattices, matrix
 from lattice_orbits.errors import (
@@ -23,6 +25,7 @@ from lattice_orbits.lattices import (
     make_e8,
     make_i,
     make_u,
+    quadratic,
     resolve,
     signature,
     twist,
@@ -231,6 +234,7 @@ def test_resolve_builds_i_s_t_on_each_call():
         (Lattice("I_0_0", 1, ((1,),)), False),  # resolve refuses the name with EmptyLattice
         (Lattice("I_600_0", 1, ((1,),)), False),  # the name spells another rank
         (Lattice("I_" + "9" * 5000 + "_0", 1, ((1,),)), False),  # past int()'s digit limit
+        (Lattice("I_02_1", 3, make_i(2, 1).gram), False),  # resolve names it I_2_1
     ],
 )
 def test_is_builtin(lattice, builtin):
@@ -247,6 +251,20 @@ def test_is_builtin_refuses_i_s_t_of_another_rank_without_building_it(monkeypatc
     assert jsonio.lattice_ref(small) == jsonio.lattice_to_json(small)
 
 
+def test_is_builtin_reads_i_s_t_without_building_it(monkeypatch):
+    i_12_8, i_2_1 = make_i(12, 8), make_i(2, 1)
+    tagged = Lattice("I_2_1", 3, i_2_1.gram, lattices.SplitShape(lattices.BASE_PLUS_I11, make_u()))
+
+    def refuse(s, t):
+        raise AssertionError(f"make_i({s}, {t}) was called")
+
+    monkeypatch.setattr(lattices, "make_i", refuse)
+    assert is_builtin(i_12_8)
+    assert not is_builtin(Lattice("I_1_2", 3, i_2_1.gram))  # signs in the wrong order
+    assert not is_builtin(Lattice("I_2_1", 3, ((1, 0, 0), (0, 1, 1), (0, 1, -1))))
+    assert not is_builtin(tagged)  # the right name and diagonal, but a shape tag
+
+
 def test_fixed_builtins_are_nondegenerate():
     # Isometry skips its |det M| = 1 check on built-ins because det G != 0
     for name in builtin_names()[:-1]:
@@ -261,7 +279,9 @@ def test_terms_are_lazy_and_outside_equality():
     gram = ((2, 0, -1), (0, 0, 0), (-1, 0, 4))
     lattice = Lattice("T", 3, gram)
     assert not hasattr(lattice, "_terms")  # not derived at construction
+    assert not hasattr(lattice, "_upper_terms")
     assert lattice.terms == [[(0, 2), (2, -1)], [], [(0, -1), (2, 4)]]
+    assert lattice.upper_terms == [(0, 0, 2), (0, 2, -2), (2, 2, 4)]  # off-diagonal doubled
     twin = Lattice("T", 3, gram)
     assert lattice == twin and hash(lattice) == hash(twin) and repr(lattice) == repr(twin)
     assert "terms" not in repr(lattice)
@@ -305,3 +325,25 @@ def test_split_constructors_reject_bad_bases():
         twisted_plus_u(make_i(1, 1), name="bad")  # odd base
     with pytest.raises(LatticeShapeMismatch):
         base_plus_i11(twist(make_u(), 2), name="bad")  # non-unimodular base
+
+
+# every fixed built-in, several I_s_t, and a custom non-diagonal lattice
+_FORM_LATTICES = [resolve(name) for name in builtin_names()[:-1]] + [
+    make_i(s, t) for s, t in ((1, 0), (0, 1), (2, 1), (3, 3), (12, 8))
+] + [direct_sum(twist(make_e8(), -3), Lattice("A2", 2, ((2, -1), (-1, 2))), name="custom")]
+
+
+@st.composite
+def _lattice_and_coords(draw):
+    lattice = draw(st.sampled_from(_FORM_LATTICES))
+    coords = draw(st.lists(st.integers(-50, 50), min_size=lattice.rank, max_size=lattice.rank))
+    return lattice, tuple(coords)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_lattice_and_coords())
+def test_quadratic_matches_inner_and_dense_form(case):
+    lattice, c = case
+    dense = sum(c[i] * lattice.gram[i][j] * c[j]
+                for i in range(lattice.rank) for j in range(lattice.rank))
+    assert quadratic(lattice, c) == inner(lattice, c, c) == dense

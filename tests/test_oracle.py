@@ -7,10 +7,17 @@ import pytest
 
 from lattice_orbits import jsonio, oracle
 from lattice_orbits.enumeration import box_walk
-from lattice_orbits.errors import LatticeError, NegativeCount, NotIsometry, ZeroVector
+from lattice_orbits.errors import (
+    LatticeError,
+    LimitExceeded,
+    NegativeCount,
+    NotIsometry,
+    ZeroVector,
+)
 from lattice_orbits.isometries import negation
 from lattice_orbits.lattices import inner, resolve
 from lattice_orbits.oracle import (
+    E8_MIN_NORM,
     EXPECTED_E8_COUNTS,
     connectivity_experiment,
     e8_root_count,
@@ -26,9 +33,9 @@ U2U = resolve("U2U")
 LMINUS = resolve("Lminus")
 
 
-def _naive_u2u_count(bound, target):
+def _naive_u2u(bound, target):
     # independent rewrite: four explicit loops against the fixed U(2)+U gram
-    count = 0
+    found = []
     for x1 in range(-bound, bound + 1):
         for x2 in range(-bound, bound + 1):
             for y1 in range(-bound, bound + 1):
@@ -38,8 +45,19 @@ def _naive_u2u_count(bound, target):
                     if math.gcd(x1, x2, y1, y2) != 1:
                         continue
                     if 4 * x1 * x2 + 2 * y1 * y2 == target:
-                        count += 1
-    return count
+                        found.append((x1, x2, y1, y2))
+    return found
+
+
+def _naive_i21(bound, target):
+    # the same loops against the diagonal form x^2 + y^2 - z^2
+    found = []
+    for x in range(-bound, bound + 1):
+        for y in range(-bound, bound + 1):
+            for z in range(-bound, bound + 1):
+                if math.gcd(x, y, z) == 1 and x * x + y * y - z * z == target:
+                    found.append((x, y, z))
+    return found
 
 
 def test_enumerate_contains_known_vector():
@@ -74,9 +92,13 @@ def test_scans_never_yield_the_zero_vector(value):
 
 
 def test_enumerate_matches_naive_count():
-    for target in (0, 2, 4, -4):
-        scan = enumerate_primitive(U2U, 2, target)
-        assert len(scan.vectors) == _naive_u2u_count(2, target)
+    # full coordinate lists, in order, not only counts
+    cases = [(U2U, _naive_u2u, 2, target) for target in (0, 2, 4, -4)]
+    cases += [(U2U, _naive_u2u, 3, target) for target in (6, -8)]
+    cases += [(resolve("I_2_1"), _naive_i21, 4, target) for target in (0, 1, -1, 2, 5, -7)]
+    for lattice, naive, bound, target in cases:
+        coords = [v.coords for v in enumerate_primitive(lattice, bound, target).vectors]
+        assert coords == naive(bound, target), (lattice.name, bound, target)
 
 
 def test_enumerate_contract():
@@ -233,6 +255,20 @@ def test_e8_counts():
     assert e8_vector_count(-2) == EXPECTED_E8_COUNTS[-2]
     assert e8_vector_count(-4) == 2160
     assert e8_vector_count(-1) == 0
+
+
+def test_e8_count_is_bounded_before_enumerating(monkeypatch):
+    enumerated = []
+    monkeypatch.setattr(oracle, "short_vectors_definite",
+                        lambda lattice, norm: enumerated.append(norm) or ())
+    assert E8_MIN_NORM == -14
+    assert e8_vector_count(-14) == 0 and enumerated == [-14]  # the cap itself is allowed
+    for value in (-15, -16, -(10**9)):
+        with pytest.raises(LimitExceeded, match="need norm >= -14"):
+            e8_vector_count(value)
+    assert enumerated == [-14]
+    monkeypatch.undo()
+    assert e8_vector_count(10**9) == 0  # positive norms count nothing, at once
 
 
 def test_e8_roots_against_gram():

@@ -13,13 +13,16 @@ from lattice_orbits.errors import (
     LabelParityMismatch,
     LatticeError,
     LatticeShapeMismatch,
+    LimitExceeded,
     NegativeCount,
     NonPrimitive,
     OddNormInEvenLattice,
     ZeroVector,
 )
+from lattice_orbits import orbits
 from lattice_orbits.lattices import inner, resolve
 from lattice_orbits.orbits import (
+    HEEGNER_MAX_RANGE,
     OrbitLabel,
     classify,
     embed_anti_invariant,
@@ -282,3 +285,14 @@ def test_heegner_reports():
     counts = [len(r.components) for r in heegner_range(-2, 2)]
     assert counts == [2, 1, 2, 1, 2]
     assert heegner_range(3, 2) == ()
+
+
+def test_heegner_range_is_bounded_before_any_report(monkeypatch):
+    built = []
+    monkeypatch.setattr(orbits, "heegner_report", lambda n, lattice=None: built.append(n))
+    assert len(heegner_range(1, HEEGNER_MAX_RANGE)) == HEEGNER_MAX_RANGE == 10**4
+    built.clear()
+    for n_min, n_max in ((0, HEEGNER_MAX_RANGE), (-5, 10**8), (-(10**100), 10**100)):
+        with pytest.raises(LimitExceeded, match="at most 10000 values of n"):
+            heegner_range(n_min, n_max)
+    assert built == []
