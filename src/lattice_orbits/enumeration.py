@@ -15,10 +15,14 @@ Every walk has one budget, WALK_BUDGET tuples: the product of the walked axis
 lengths, leaving out the solved last axis when a norm is given. A larger walk
 is refused with BoxTooLarge before it starts.
 
-The definite engine completes the square over the rationals once, then bounds
-each coordinate by an exact interval, so no vector is missed regardless of how
-skew the basis is; integer square roots only ever widen the candidate interval
-and every candidate is accepted by an exact comparison.
+The definite engine completes the square over the rationals once, Q(v) =
+sum_i d_i (v_i + sum_{j>i} c_ij v_j)^2, and scales d and c by the lcm S of
+their denominators. The descent then runs on integers only: it keeps rem * S^3
+and S * center as ints, and coordinate i takes exactly the x with
+|S x + S center| <= isqrt(rem * S^3 // (S d_i)), an exact bound because the
+left side is an integer. So no vector is missed however skew the basis is, and
+no candidate needs a second comparison. Every norm is a multiple of the form's
+content gcd(G_ii, 2 G_ij), so any other target gives the empty tuple at once.
 """
 
 from __future__ import annotations
@@ -134,16 +138,14 @@ def _completed_square(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, c
 
 
-def _sqrt_upper(x: Fraction) -> Fraction:
-    # any rational >= sqrt(x); off by at most 1/denominator
-    return Fraction(math.isqrt(x.numerator * x.denominator) + 1, x.denominator)
-
-
 def short_vectors_definite(lattice: Lattice, target: int) -> tuple[tuple[int, ...], ...]:
     """All nonzero v with <v, v> == target in a definite lattice, sorted.
 
-    Works for either sign of definiteness; a target of the wrong sign gives the
-    empty tuple.
+    Works for either sign of definiteness, which the sign of G_00 picks. A
+    target of the other sign, or one that is not a multiple of the form's
+    content gcd(G_ii, 2 G_ij), gives the empty tuple at once, before the form
+    is checked; any other target raises LatticeShapeMismatch on a form that
+    is not definite.
     """
     n = lattice.rank
     lead = lattice.gram[0][0]
@@ -154,27 +156,29 @@ def short_vectors_definite(lattice: Lattice, target: int) -> tuple[tuple[int, ..
     else:
         gram = tuple(tuple(-x for x in row) for row in lattice.gram)
         goal = -target
-    if goal < 0:
+    if goal < 0 or goal % math.gcd(*(k for _, _, k in lattice.upper_terms)):
         return ()
     d, c = _completed_square(gram)
+    # D_i = S d_i and the nonzero C_ij = S c_ij, all integers
+    scale = math.lcm(*(x.denominator for x in d), *(x.denominator for row in c for x in row))
+    dd = [int(scale * x) for x in d]
+    cc = [[(j, int(scale * row[j])) for j in range(i + 1, n) if row[j]] for i, row in enumerate(c)]
     found: list[tuple[int, ...]] = []
     v = [0] * n
 
-    def descend(i: int, rem: Fraction):
+    def descend(i: int, rem: int):
         if i < 0:
             if rem == 0 and any(v):
                 found.append(tuple(v))
             return
-        center = sum(c[i][j] * v[j] for j in range(i + 1, n))
-        radius = _sqrt_upper(rem / d[i])
-        lo = math.ceil(-center - radius)
-        hi = math.floor(-center + radius)
-        for x in range(lo, hi + 1):
-            used = d[i] * (x + center) ** 2
-            if used <= rem:
-                v[i] = x
-                descend(i - 1, rem - used)
+        cs = sum([k * v[j] for j, k in cc[i]])
+        # D_i (S x + cs)^2 <= rem, i.e. |S x + cs| <= isqrt(rem // D_i), exactly
+        radius = math.isqrt(rem // dd[i])
+        for x in range(-((cs + radius) // scale), (radius - cs) // scale + 1):
+            t = scale * x + cs
+            v[i] = x
+            descend(i - 1, rem - dd[i] * t * t)
         v[i] = 0
 
-    descend(n - 1, Fraction(goal))
+    descend(n - 1, goal * scale**3)
     return tuple(sorted(found))

@@ -21,11 +21,13 @@ lattices are scanned once per name; an I_s_t pool is written down in closed
 form on each call, and only its drawn entries are built.
 
 A word is composed from checked generators and certified once, at the end.
-Each pool reflection is certified when it is built, each transvection's
-preconditions are checked when it is drawn, and every step is applied to the
-word as a sparse row update (a row swap, a sign flip, or a low-rank update of
-the rows it moves). The finished matrix then goes through Isometry like any
-other, so every matrix a caller can apply is still a certified isometry.
+Each pool reflection is certified when it is built, as the rank-one update
+I - delta c^T that it is stored as, in O(n^2) integer operations and without
+building the matrix (_certify_rank_one). Each transvection's preconditions are
+checked when it is drawn, and every step is applied to the word as a sparse
+row update (a row swap, a sign flip, or a low-rank update of the rows it
+moves). The finished matrix then goes through Isometry like any other, so
+every matrix a caller can apply is still a certified isometry.
 """
 
 from __future__ import annotations
@@ -267,9 +269,30 @@ class _PoolReflection(NamedTuple):
     update: _RowUpdate  # I - delta c^T, with c the reflection coefficients
 
 
+def _certify_rank_one(lattice: Lattice, delta, coeffs) -> None:
+    """Certify M = I - delta c^T, with c = coeffs, without building M.
+
+    With u = G delta and nd = <delta, delta>, M^T G M = G - u c^T - c u^T +
+    nd c c^T for any delta and c, and det M = 1 - c . delta (the matrix
+    determinant lemma). So M is an isometry exactly when the upper triangle of
+    -u c^T - c u^T + nd c c^T is zero and |1 - c . delta| = 1. Only rows and
+    columns where u or c is nonzero can break the first check.
+    """
+    u = gram_vec(lattice, delta)
+    nd = sum(map(mul, delta, u))
+    support = [a for a in range(lattice.rank) if u[a] or coeffs[a]]
+    for k, a in enumerate(support):
+        w = nd * coeffs[a] - u[a]  # entry (a, b) is w c_b - c_a u_b
+        for b in support[k:]:
+            if w * coeffs[b] != coeffs[a] * u[b]:
+                raise NotIsometry("matrix does not preserve the form")
+    if abs(1 - sum(map(mul, coeffs, delta))) != 1:
+        raise NotIsometry("matrix is not invertible over the integers")
+
+
 def _pool_entry(lattice: Lattice, delta: tuple[int, ...]) -> _PoolReflection:
     coeffs = _reflection_coeffs(lattice, delta)
-    reflection(lattice, delta)  # certifies the matrix the update stands for
+    _certify_rank_one(lattice, delta, coeffs)  # the matrix the update stands for
     return _PoolReflection(delta, ((_nonzero(-d for d in delta), _nonzero(coeffs)),))
 
 

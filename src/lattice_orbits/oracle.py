@@ -260,8 +260,9 @@ def wall_scan(s: int, t: int, bound: int) -> SuiteResult:
 # classical anchors for the definite enumerator
 EXPECTED_E8_COUNTS = {-2: 240, -4: 2160}
 # the lowest norm e8_vector_count enumerates: the shell of norm -2k holds
-# 240*sigma_3(k) vectors, at most 82,560 for k <= 7 and over 10^5 for k >= 8
-# (sigma_3(k) >= k^3); an odd norm below -14 searches a ball at least as large
+# 240*sigma_3(k) vectors, all of them held at once, at most 82,560 for k <= 7
+# and over 10^5 for k >= 8 (sigma_3(k) >= k^3); an odd norm counts 0 at once,
+# since every E8 norm is even
 E8_MIN_NORM = -14
 
 

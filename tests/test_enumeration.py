@@ -1,9 +1,12 @@
+import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lattice_orbits import enumeration
 from lattice_orbits.enumeration import (
     WALK_BUDGET,
     box_range,
@@ -15,6 +18,7 @@ from lattice_orbits.enumeration import (
 from lattice_orbits.errors import BoxTooLarge, LatticeError, LatticeShapeMismatch, NegativeCount
 from lattice_orbits.isometries import sample_word
 from lattice_orbits.lattices import Lattice, inner, resolve
+from lattice_orbits.matrix import det, mat_mul, transpose
 from lattice_orbits.oracle import enumerate_primitive, wall_scan
 from lattice_orbits.orbits import even_witness
 from lattice_orbits.vectors import vec
@@ -149,14 +153,70 @@ def test_negative_definite_side():
     assert short_vectors_definite(neg, 2) == ()
 
 
+def _sigma3(k):
+    return sum(d**3 for d in range(1, k + 1) if k % d == 0)
+
+
 def test_e8_shells():
     e8 = resolve("E8")
     roots = short_vectors_definite(e8, -2)
-    assert len(roots) == 240
     assert all(inner(e8, v, v) == -2 for v in roots)
-    assert len(short_vectors_definite(e8, -4)) == 2160
+    for k in range(1, 8):  # down to norm -14, the lowest that oracle-e8 enumerates
+        assert len(short_vectors_definite(e8, -2 * k)) == 240 * _sigma3(k), k
+    assert (240 * _sigma3(1), 240 * _sigma3(2), 240 * _sigma3(7)) == (240, 2160, 82560)
     assert short_vectors_definite(e8, -1) == ()
     assert short_vectors_definite(e8, -3) == ()
+
+
+def test_target_off_the_content_is_empty_at_once(monkeypatch):
+    # every norm is a multiple of gcd(G_ii, 2 G_ij): 4 on E8(2), 2 on E8
+    e8_2 = Lattice("E8(2)", 8, tuple(tuple(row[:8]) for row in resolve("Lminus").gram[:8]))
+    assert len(short_vectors_definite(e8_2, -4)) == 240
+
+    def no_descent(gram):
+        raise AssertionError("the completed square was built")
+
+    monkeypatch.setattr(enumeration, "_completed_square", no_descent)
+    for lattice, target in ((e8_2, -1), (e8_2, -2), (e8_2, -6), (resolve("E8"), -13)):
+        assert short_vectors_definite(lattice, target) == ()
+
+
+def _inverse_diagonal(gram):
+    """The diagonal of gram^-1, exactly: each principal (n-1)-minor over det(gram)."""
+    n = len(gram)
+    minors = [det([row[:i] + row[i + 1:] for k, row in enumerate(gram) if k != i]) for i in range(n)]
+    return [Fraction(m, det(gram)) for m in minors]
+
+
+@st.composite
+def _definite_case(draw):
+    """A definite Gram B B^T of rank <= 3, skewed by a unimodular change of basis, and a target."""
+    n = draw(st.integers(1, 3))
+    b = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        b[i][i] = draw(st.integers(1, 3))
+    assume(det(b) != 0)  # so B B^T is positive definite
+    shear = [[int(i == j) if j <= i else draw(st.integers(-2, 2)) for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    u = [shear[p] for p in perm]  # unimodular: a row permutation of a unitriangular matrix
+    gram = mat_mul(transpose(u), mat_mul(mat_mul(b, transpose(b)), u))
+    sign = draw(st.sampled_from((1, -1)))
+    target = sign * draw(st.integers(-2, 14))
+    return Lattice("T", n, tuple(tuple(sign * x for x in row) for row in gram)), sign, target
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_definite_case())
+def test_short_vectors_match_a_bounding_box(case):
+    lattice, sign, target = case
+    reach = sign * target  # the norm on the positive definite side
+    positive = [[sign * x for x in row] for row in lattice.gram]
+    # |v_i| <= sqrt(Q (A^-1)_ii) on the ellipsoid v^T A v <= Q, with A = sign * gram
+    bounds = [math.isqrt(math.floor(max(reach, 0) * x)) for x in _inverse_diagonal(positive)]
+    assume(math.prod(2 * b + 1 for b in bounds) <= 20000)
+    box = product(*(range(-b, b + 1) for b in bounds))
+    expected = sorted(v for v in box if any(v) and inner(lattice, v, v) == target)
+    assert list(short_vectors_definite(lattice, target)) == expected
 
 
 def test_output_sorted_and_nonzero():

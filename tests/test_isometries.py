@@ -295,19 +295,27 @@ def test_warm_i_s_t_word_certifies_only_its_draws(monkeypatch, name, seed, lengt
             super().__init__(lattice)
             pools.append(self)
 
+    rank_one = isometries._certify_rank_one
+
     def counted(self):
         certified.append(self)
         post_init(self)
 
+    def counted_rank_one(lattice, delta, coeffs):
+        certified.append(delta)
+        rank_one(lattice, delta, coeffs)
+
     monkeypatch.setattr(isometries, "_DiagonalPool", RecordedPool)
     monkeypatch.setattr(Isometry, "__post_init__", counted)
+    monkeypatch.setattr(isometries, "_certify_rank_one", counted_rank_one)
     word = sample_word(lattice, seed, length)
     assert word == before
     [pool] = pools
     assert len(pool) == size
-    # one certification per distinct drawn reflection, then the word itself
+    # one rank-one certification per distinct drawn reflection, then the word itself
     assert 0 < len(pool.entries) <= min(size, length)
     assert len(certified) == len(pool.entries) + 1 and certified[-1] is word
+    assert certified[:-1] == [entry.delta for entry in pool.entries.values()]
 
 
 def test_corrupt_sparse_step_is_refused(monkeypatch):
@@ -426,3 +434,82 @@ def test_pools_are_kept_per_recipe_name_only():
         sample_word(resolve(name), 0, 1)
     info = isometries._recipe_pool.cache_info()
     assert info.currsize == info.maxsize == len(isometries._RECIPES)
+
+
+def _rank_one_rows(delta, coeffs):
+    """The dense matrix I - delta c^T that a pool entry's update stands for."""
+    n = len(delta)
+    return freeze([[int(r == c) - delta[r] * coeffs[c] for c in range(n)] for r in range(n)])
+
+
+def _entry_coeffs(entry, n):
+    [(_, terms)] = entry.update
+    coeffs = [0] * n
+    for i, k in terms:
+        coeffs[i] = k
+    return coeffs
+
+
+def _pool_entries(monkeypatch):
+    """(lattice, entry) for every entry of the four recipe pools and the I_12_8 entries words draw."""
+    cases = [(resolve(name), entry) for name in sorted(isometries._RECIPES)
+             for entry in isometries._recipe_pool(name)]
+    pools = []
+
+    class RecordedPool(isometries._DiagonalPool):
+        def __init__(self, lattice):
+            super().__init__(lattice)
+            pools.append(self)
+
+    monkeypatch.setattr(isometries, "_DiagonalPool", RecordedPool)
+    lattice = resolve("I_12_8")
+    for seed in range(10):
+        sample_word(lattice, seed, 8)
+    return cases + [(lattice, entry) for pool in pools for entry in pool.entries.values()]
+
+
+def test_rank_one_certificate_agrees_with_dense_reflection(monkeypatch):
+    cases = _pool_entries(monkeypatch)
+    assert len(cases) > 124 + 4 + 124 + 4 + 10
+    for lattice, entry in cases:
+        coeffs = _entry_coeffs(entry, lattice.rank)
+        isometries._certify_rank_one(lattice, entry.delta, coeffs)
+        assert reflection(lattice, entry.delta).matrix == _rank_one_rows(entry.delta, coeffs)
+
+
+def test_rank_one_certificate_refuses_a_corrupted_entry(monkeypatch):
+    for lattice, entry in _pool_entries(monkeypatch):
+        n = lattice.rank
+        delta, coeffs = entry.delta, _entry_coeffs(entry, n)
+        k = next(i for i in range(n) if coeffs[i])
+        bumped = coeffs[:k] + [coeffs[k] + 1] + coeffs[k + 1:]
+        moved = delta[:k] + (delta[k] + 1,) + delta[k + 1:]
+        for d, c in ((delta, bumped), (moved, coeffs)):
+            with pytest.raises(NotIsometry):
+                isometries._certify_rank_one(lattice, d, c)
+            with pytest.raises(NotIsometry):  # the dense check agrees
+                Isometry(lattice, _rank_one_rows(d, c))
+
+
+@st.composite
+def _rank_one_case(draw):
+    lattice, _, delta, coeffs = draw(_lattice_and_matrix())
+    nd = inner(lattice, delta, delta)
+    twice = [2 * x for x in mat_vec(lattice.gram, delta)]
+    if nd and all(x % nd == 0 for x in twice) and draw(st.booleans()):
+        coeffs = tuple(x // nd for x in twice)  # the reflection in delta
+    return lattice, delta, coeffs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_rank_one_case())
+@example((Lattice("Z0", 1, ((0,),)), (1,), (-1,)))  # form kept on a degenerate line, det 2
+@example((resolve("U"), (1, 1), (1, 1)))  # the reflection in a norm-2 vector
+def test_rank_one_certificate_matches_the_dense_check(case):
+    lattice, delta, coeffs = case
+    try:
+        isometries._certify_rank_one(lattice, delta, coeffs)
+        accepted = True
+    except NotIsometry:
+        accepted = False
+    assert accepted is _dense_isometry(lattice.gram, _rank_one_rows(delta, coeffs))
