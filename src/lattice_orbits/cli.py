@@ -96,10 +96,9 @@ def build_parser() -> _Parser:
     lattice_flag(p, "Lminus")
     p.add_argument("--coords", required=True)
 
-    p = sub.add_parser("witness", help="invariant-partner witness search")
+    p = sub.add_parser("witness", help="invariant-partner witness of even type")
     lattice_flag(p, "Lminus")
     p.add_argument("--coords", required=True)
-    p.add_argument("--bound", type=int, default=2)
 
     p = sub.add_parser("heegner", help="orbit components for a range of n")
     p.add_argument("--from", dest="n_min", type=int, required=True)
@@ -221,7 +220,7 @@ def _cmd_even_type(args, stdin):
 
 def _cmd_witness(args, stdin):
     v = vec(resolve(args.lattice), _coords(args.coords))
-    result = even_witness(v, args.bound)
+    result = even_witness(v)
     return jsonio.witness_to_json(v, result, norm(v)), 0
 
 

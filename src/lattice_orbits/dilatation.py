@@ -17,7 +17,6 @@ that happens exactly when v is characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import LatticeShapeMismatch, NotInHalfLattice, RankMismatch
 from .lattices import (
@@ -108,8 +107,3 @@ def half_norm(h: HalfVector) -> int:
     if quadruple % 4 != 0:
         raise NotInHalfLattice("form value is not integral")  # unreachable on valid input
     return quadruple // 4
-
-
-def true_coords(h: HalfVector) -> tuple[Fraction, ...]:
-    """Actual (possibly half-integral) coordinates, for display."""
-    return tuple(Fraction(d, 2) for d in h.doubled_coords)

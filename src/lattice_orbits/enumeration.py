@@ -21,8 +21,10 @@ their denominators. The descent then runs on integers only: it keeps rem * S^3
 and S * center as ints, and coordinate i takes exactly the x with
 |S x + S center| <= isqrt(rem * S^3 // (S d_i)), an exact bound because the
 left side is an integer. So no vector is missed however skew the basis is, and
-no candidate needs a second comparison. Every norm is a multiple of the form's
-content gcd(G_ii, 2 G_ij), so any other target gives the empty tuple at once.
+no candidate needs a second comparison. The completion is also the
+definiteness check, so it runs first; every norm is a multiple of the form's
+content gcd(G_ii, 2 G_ij), so any other target then gives the empty tuple
+without a descent.
 """
 
 from __future__ import annotations
@@ -142,23 +144,21 @@ def short_vectors_definite(lattice: Lattice, target: int) -> tuple[tuple[int, ..
     """All nonzero v with <v, v> == target in a definite lattice, sorted.
 
     Works for either sign of definiteness, which the sign of G_00 picks. A
-    target of the other sign, or one that is not a multiple of the form's
-    content gcd(G_ii, 2 G_ij), gives the empty tuple at once, before the form
-    is checked; any other target raises LatticeShapeMismatch on a form that
-    is not definite.
+    form that is not definite raises LatticeShapeMismatch whatever the target.
+    A target of the other sign, or one that is not a multiple of the form's
+    content gcd(G_ii, 2 G_ij), then gives the empty tuple without a descent.
     """
-    n = lattice.rank
-    lead = lattice.gram[0][0]
-    if lead == 0:
-        raise LatticeShapeMismatch(f"{lattice.name} is not definite")
-    if lead > 0:
-        gram, goal = lattice.gram, target
-    else:
-        gram = tuple(tuple(-x for x in row) for row in lattice.gram)
-        goal = -target
+    sign = 1 if lattice.gram[0][0] > 0 else -1
+    d, c = _completed_square([[sign * x for x in row] for row in lattice.gram])
+    goal = sign * target
     if goal < 0 or goal % math.gcd(*(k for _, _, k in lattice.upper_terms)):
         return ()
-    d, c = _completed_square(gram)
+    return _descend(d, c, goal)
+
+
+def _descend(d, c, goal: int) -> tuple[tuple[int, ...], ...]:
+    """Nonzero integer v, sorted, with sum_i d_i (v_i + sum_{j>i} c_ij v_j)^2 == goal."""
+    n = len(d)
     # D_i = S d_i and the nonzero C_ij = S c_ij, all integers
     scale = math.lcm(*(x.denominator for x in d), *(x.denominator for row in c for x in row))
     dd = [int(scale * x) for x in d]

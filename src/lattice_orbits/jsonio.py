@@ -113,7 +113,6 @@ def witness_to_json(v: LatticeVector, result: WitnessResult, norm: int) -> dict:
         "n": norm // 2,
         "witness": None if result.witness is None else vector_to_json(result.witness),
         "parity_obstruction": result.parity_obstruction,
-        "bound": result.bound,
     }
 
 

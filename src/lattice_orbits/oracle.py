@@ -30,7 +30,7 @@ from .errors import (
     ZeroVector,
 )
 from .isometries import apply, certify, sample_word
-from .lattices import Lattice, is_unimodular, quadratic, resolve, signature
+from .lattices import TWISTED_PLUS_U, Lattice, is_unimodular, quadratic, resolve, signature, split_base
 from .orbits import OrbitLabel, classify, representative
 from .vectors import LatticeVector, VectorType, norm, vector_type
 
@@ -121,9 +121,11 @@ def invariance_suite(
 
     Each round draws a random primitive vector and a fresh word; optional
     explicit matrices go through certification first, so a corrupted one is
-    refused before anything runs.
+    refused before anything runs, and so is a lattice that is not a tagged
+    base(2) + U lattice.
     """
     check_counts(samples=samples, bound=bound, word_length=word_length)
+    split_base(lattice, TWISTED_PLUS_U)
     extra = tuple(certify(lattice, m) for m in isometries or ())
     rng = random.Random(seed)
     stats = {
@@ -163,9 +165,11 @@ def connectivity_experiment(
     are reported with their label sets; any component holding two labels is a
     counterexample to invariance, so mixed_label_components must be 0.
     Connectivity itself is only suggestive: more walks can still merge
-    components.
+    components. A lattice that is not a tagged base(2) + U lattice is refused
+    before the box is scanned.
     """
     check_counts(bound=bound, walks=walks, word_length=word_length)
+    split_base(lattice, TWISTED_PLUS_U)
     scan = enumerate_primitive(lattice, bound, norm)
     labels = {v.coords: classify(v).label for v in scan.vectors}
     parent = {coords: coords for coords in labels}
@@ -275,10 +279,6 @@ def e8_vector_count(norm: int = -2) -> int:
     if norm < E8_MIN_NORM:
         raise LimitExceeded(f"E8 vector counts need norm >= {E8_MIN_NORM}, got {norm}")
     return len(short_vectors_definite(resolve("E8"), norm))
-
-
-def e8_root_count() -> int:
-    return e8_vector_count(-2)
 
 
 def e8_suite(norm: int = -2) -> SuiteResult:

@@ -18,7 +18,8 @@ The even-type test and its witnesses are specific to the rank-12 built-in
 partner "Lplus": a primitive vector of norm divisible by 4 has even type when
 some primitive vector of the partner with equal norm lands in 2*Lambda after
 adding the embedded images. That holds exactly when the halving image is
-integral; the blocked case is a parity obstruction in the last two coordinates.
+integral; the blocked case is a parity obstruction in the last two coordinates,
+and otherwise even_witness writes a witness down in closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dilatation import dilate, is_integral
-from .enumeration import box_range, box_walk
 from .errors import (
     EvenTypeUndefinedForOddN,
     InvariantViolation,
@@ -38,7 +38,7 @@ from .errors import (
     OddNormInEvenLattice,
     ZeroVector,
 )
-from .lattices import TWISTED_PLUS_U, Lattice, resolve, split_base
+from .lattices import TWISTED_PLUS_U, Lattice, gram_vec, resolve, split_base
 from .vectors import LatticeVector, VectorType, is_primitive, norm, vec, vector_type
 
 
@@ -63,7 +63,6 @@ class ClassificationReport:
 class WitnessResult:
     witness: LatticeVector | None
     parity_obstruction: bool
-    bound: int
 
 
 @dataclass(frozen=True)
@@ -183,41 +182,43 @@ def _witness_ok(v: LatticeVector, w: LatticeVector) -> bool:
     return all((a + b) % 2 == 0 for a, b in zip(left.coords, right.coords))
 
 
-def even_witness(v: LatticeVector, bound: int = 2) -> WitnessResult:
-    """Search the invariant partner for a witness of even type.
+def even_witness(v: LatticeVector) -> WitnessResult:
+    """The invariant-partner witness of even type, written down directly.
 
-    Candidates must match v's leading coordinates mod 2 and v's norm, so the
-    scan walks a parity-constrained box with the last coordinate solved from
-    the norm, and the first hit in lexicographic order is the witness. Vectors
-    whose two trailing coordinates vanish get their witness written down
-    directly. A trailing odd coordinate is a hard parity obstruction: every
-    candidate sum keeps an odd entry, so the result says NotFound regardless of
-    the bound. Otherwise absence within the bound is only absence within the
-    bound.
+    A trailing odd coordinate is a parity obstruction: every candidate sum keeps
+    an odd entry, so there is no witness. Otherwise, with v = (e, u, 2*beta),
+    M = u1*u2 + 2*beta1*beta2 and G the Gram matrix of E8, v^2 = 2 e.G.e + 4 M
+    and the witness is (e, 1, M) when u1 is odd, (e, M, 1) when u2 is odd, and
+    (e', 2, M'/2) otherwise. Here e' = e and M' = M when 4 | M; when M = 2 mod 4,
+    e' = e + 2*e_i and M' = M - 2 (G e)_i + 4 for the first i with (G e)_i odd,
+    which exists because v is primitive and det G = 1. The witness is checked
+    against its definition, and a failure raises InvariantViolation.
     """
     if v.lattice != resolve("Lminus"):
         raise LatticeShapeMismatch("even-type witnesses are defined on Lminus")
-    values = box_range(bound)
     _require_primitive(v)
     value = norm(v)
     if (value // 2) % 2 != 0:
         raise EvenTypeUndefinedForOddN(f"norm {value} is not divisible by 4")
-    plus = resolve("Lplus")
-    b1, b2 = v.coords[10], v.coords[11]
+    e, (u1, u2), (b1, b2) = list(v.coords[:8]), v.coords[8:10], v.coords[10:]
     if b1 % 2 != 0 or b2 % 2 != 0:
-        return WitnessResult(None, True, bound)
-    if b1 == 0 and b2 == 0:
-        direct = LatticeVector(plus, v.coords[:10])
-        if _witness_ok(v, direct):
-            return WitnessResult(direct, False, bound)
-    axes = [[x for x in values if (x - c) % 2 == 0] for c in v.coords[:10]]
-    for cand in box_walk(axes, (plus.gram, value)):
-        if not any(cand):
-            continue
-        w = LatticeVector(plus, cand)
-        if _witness_ok(v, w):
-            return WitnessResult(w, False, bound)
-    return WitnessResult(None, False, bound)
+        return WitnessResult(None, True)
+    m = u1 * u2 + b1 * b2 // 2
+    if u1 % 2 != 0:
+        tail = (1, m)
+    elif u2 % 2 != 0:
+        tail = (m, 1)
+    else:
+        if m % 4 != 0:
+            ge = gram_vec(resolve("E8"), e)
+            i = next(i for i, x in enumerate(ge) if x % 2 != 0)
+            e[i] += 2
+            m += 4 - 2 * ge[i]
+        tail = (2, m // 2)
+    w = LatticeVector(resolve("Lplus"), (*e, *tail))
+    if not _witness_ok(v, w):
+        raise InvariantViolation(f"witness {w.coords} for {v.coords} fails its definition")
+    return WitnessResult(w, False)
 
 
 def heegner_report(n: int, lattice: Lattice | None = None) -> HeegnerReport:

@@ -285,7 +285,6 @@ def test_oracle_invariance_rejects_malformed_isometry_file(tmp_path, doc):
         ["oracle-enumerate", "--lattice", "U2U", "--bound", "-1"],
         ["oracle-wall", "--s", "1", "--t", "2", "--bound", "-1"],
         ["oracle-connectivity", "--norm", "2", "--bound", "-1"],
-        ["witness", "--coords", "0,0,0,0,0,0,0,0,1,2,2,0", "--bound", "-1"],
     ],
 )
 def test_negative_counts_are_domain_errors(argv):
@@ -299,7 +298,6 @@ def test_negative_counts_are_domain_errors(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["witness", "--coords", "0,0,0,0,0,0,0,0,1,2,2,0", "--bound", "10"],
         ["oracle-enumerate", "--lattice", "Lminus", "--bound", "5"],
         ["oracle-enumerate", "--lattice", "Lminus", "--bound", "5", "--norm", "4"],
         ["oracle-wall", "--s", "8", "--t", "0", "--bound", "3"],
@@ -375,6 +373,9 @@ _NOT_I11 = "is not a tagged base + I_1_1 lattice"
         (lambda: characteristic_by_parity(vec(_U, (1, 1))), f"U {_NOT_I11}"),
         (["phi", "--lattice", "U2", "--coords", "1,1"], f"U2 {_NOT_TWISTED}"),
         (["phi-inv", "--base", "U", "--doubled", "0,0"], f"U {_NOT_I11}"),
+        (["oracle-invariance", "--lattice", "I_2_3", "--samples", "0"], f"I_2_3 {_NOT_TWISTED}"),
+        (["oracle-connectivity", "--lattice", "I_2_3", "--norm", "7", "--bound", "1", "--walks", "5"],
+         f"I_2_3 {_NOT_TWISTED}"),
     ],
 )
 def test_tag_check_messages(call, message):
@@ -386,6 +387,25 @@ def test_tag_check_messages(call, message):
     with pytest.raises(LatticeShapeMismatch) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-invariance", "--lattice", "I_150_150", "--samples", "1"],
+        ["oracle-connectivity", "--lattice", "I_2_3", "--norm", "7", "--bound", "1", "--walks", "5"],
+    ],
+)
+def test_untagged_suites_are_refused_before_any_work(argv, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the suite started its work")
+
+    for attr in ("sample_word", "enumerate_primitive", "random_primitive", "certify"):
+        monkeypatch.setattr(oracle, attr, refuse)
+    code, out, err = run_cli(argv)
+    assert (code, err) == (2, "")
+    message = f"{argv[2]} {_NOT_TWISTED}"
+    assert out == json.dumps({"error": "LatticeShapeMismatch", "message": message}) + "\n"
 
 
 def test_oracle_connectivity_deterministic():
@@ -421,11 +441,11 @@ LIGHT_COMMANDS = [
     ["info", "--lattice", "Lminus"],
 ]
 
-# after each argv: its exit code and which of the oracle modules are loaded
+# after each argv: its exit code and which of the enumeration and oracle modules are loaded
 _LOADED_AFTER = """
 import io, json, sys
 from lattice_orbits.cli import run
-heavy = ("lattice_orbits.isometries", "lattice_orbits.oracle")
+heavy = ("lattice_orbits.enumeration", "lattice_orbits.isometries", "lattice_orbits.oracle")
 seen = []
 for argv in json.loads(sys.argv[1]):
     code = run(argv, stdout=io.StringIO(), stderr=io.StringIO())
@@ -440,7 +460,7 @@ def test_commands_load_only_what_they_run(package_env):
                           env=package_env, capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout)
     assert seen[:-1] == [[0, []]] * len(LIGHT_COMMANDS)
-    assert seen[-1] == [0, ["lattice_orbits.isometries", "lattice_orbits.oracle"]]
+    assert seen[-1] == [0, ["lattice_orbits.enumeration", "lattice_orbits.isometries", "lattice_orbits.oracle"]]
 
 
 def test_usage_errors():

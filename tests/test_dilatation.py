@@ -14,7 +14,6 @@ from lattice_orbits.dilatation import (
     half_target,
     integral_image,
     is_integral,
-    true_coords,
 )
 from lattice_orbits.errors import LatticeShapeMismatch, NotInHalfLattice, RankMismatch
 from lattice_orbits.lattices import direct_sum, make_e8, make_u, resolve, twisted_plus_u
@@ -29,7 +28,7 @@ def test_integral_example():
     h = dilate(v)
     assert h.base.name == "E8_U_I11"
     assert h.doubled_coords == (0,) * 10 + (4, -2)
-    assert true_coords(h) == (Fraction(0),) * 10 + (Fraction(2), Fraction(-1))
+    assert tuple(Fraction(d, 2) for d in h.doubled_coords) == (0,) * 10 + (2, -1)
     assert is_integral(h)
     assert half_norm(h) == 3
     assert norm(v) == 2 * half_norm(h)
@@ -40,7 +39,7 @@ def test_fractional_example():
     v = vec(LMINUS, (0,) * 10 + (1, 4))
     h = dilate(v)
     assert h.doubled_coords == (0,) * 10 + (5, -3)
-    assert true_coords(h)[10:] == (Fraction(5, 2), Fraction(-3, 2))
+    assert tuple(Fraction(d, 2) for d in h.doubled_coords[10:]) == (Fraction(5, 2), Fraction(-3, 2))
     assert not is_integral(h)
     assert norm(v) == 2 * half_norm(h)
     assert dilate_inverse(h) == v

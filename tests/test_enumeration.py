@@ -20,8 +20,6 @@ from lattice_orbits.isometries import sample_word
 from lattice_orbits.lattices import Lattice, inner, resolve
 from lattice_orbits.matrix import det, mat_mul, transpose
 from lattice_orbits.oracle import enumerate_primitive, wall_scan
-from lattice_orbits.orbits import even_witness
-from lattice_orbits.vectors import vec
 
 
 def test_box_vectors_order_and_count():
@@ -173,10 +171,10 @@ def test_target_off_the_content_is_empty_at_once(monkeypatch):
     e8_2 = Lattice("E8(2)", 8, tuple(tuple(row[:8]) for row in resolve("Lminus").gram[:8]))
     assert len(short_vectors_definite(e8_2, -4)) == 240
 
-    def no_descent(gram):
-        raise AssertionError("the completed square was built")
+    def no_descent(d, c, goal):
+        raise AssertionError("the descent ran")
 
-    monkeypatch.setattr(enumeration, "_completed_square", no_descent)
+    monkeypatch.setattr(enumeration, "_descend", no_descent)
     for lattice, target in ((e8_2, -1), (e8_2, -2), (e8_2, -6), (resolve("E8"), -13)):
         assert short_vectors_definite(lattice, target) == ()
 
@@ -233,6 +231,14 @@ def test_indefinite_rejected():
         short_vectors_definite(resolve("I_1_1"), 1)
 
 
+def test_indefinite_rejected_before_the_shortcuts():
+    # G_00 > 0; -1 has the other sign, and 1, -1 and 3 lie off the content 2
+    skew = Lattice("x", 2, ((2, 1), (1, -2)))
+    for target in (1, -1, 3, 0):
+        with pytest.raises(LatticeShapeMismatch):
+            short_vectors_definite(skew, target)
+
+
 def test_walk_budget_counts_walked_tuples():
     # a product walk counts every axis; a norm walk leaves out the solved last one
     edge = (0,) * 10  # 10^6 = WALK_BUDGET tuples from six such axes
@@ -257,7 +263,6 @@ def test_over_budget_searches_are_refused_before_walking():
         lambda: enumerate_primitive(lminus, 5),
         lambda: enumerate_primitive(lminus, 5, 4),
         lambda: wall_scan(8, 0, 3),
-        lambda: even_witness(vec(lminus, (0,) * 8 + (1, 2, 2, 0)), 10),
     ):
         with pytest.raises(BoxTooLarge):
             call()

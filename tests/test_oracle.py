@@ -20,7 +20,6 @@ from lattice_orbits.oracle import (
     E8_MIN_NORM,
     EXPECTED_E8_COUNTS,
     connectivity_experiment,
-    e8_root_count,
     e8_vector_count,
     enumerate_primitive,
     invariance_suite,
@@ -251,8 +250,7 @@ def test_wall_congruence_value_directly():
 
 
 def test_e8_counts():
-    assert e8_root_count() == 240
-    assert e8_vector_count(-2) == EXPECTED_E8_COUNTS[-2]
+    assert e8_vector_count(-2) == EXPECTED_E8_COUNTS[-2] == 240
     assert e8_vector_count(-4) == 2160
     assert e8_vector_count(-1) == 0
 

@@ -6,7 +6,10 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from lattice_orbits.enumeration import box_walk
 from lattice_orbits.errors import (
     EvenTypeUndefinedForOddN,
     InvariantViolation,
@@ -14,7 +17,6 @@ from lattice_orbits.errors import (
     LatticeError,
     LatticeShapeMismatch,
     LimitExceeded,
-    NegativeCount,
     NonPrimitive,
     OddNormInEvenLattice,
     ZeroVector,
@@ -150,16 +152,17 @@ def test_is_even_type():
     assert is_even_type(vec(U2U, (1, 2, 0, 0)))
 
 
+def _is_witness(v, w):
+    """w in Lplus is a witness for v by definition: equal norm, gcd 1, and the
+    embedded sum (e, -e, u, -u, b) + (f, f, t, t, 0) in 2*Lambda."""
+    total = zip(embed_anti_invariant(v).coords, embed_invariant(vec(LPLUS, w)).coords)
+    return norm(vec(LPLUS, w)) == norm(v) and math.gcd(*w) == 1 and all((a + b) % 2 == 0 for a, b in total)
+
+
 def _witness_sound(v, result):
     w = result.witness
-    assert w is not None
-    assert norm(w) == norm(v)
-    assert is_primitive(w)
-    total = tuple(
-        a + b
-        for a, b in zip(embed_anti_invariant(v).coords, embed_invariant(w).coords)
-    )
-    assert all(c % 2 == 0 for c in total)
+    assert w is not None and w.lattice == LPLUS
+    assert _is_witness(v, w.coords)
 
 
 def test_witness_direct():
@@ -174,23 +177,61 @@ def test_witness_direct():
     _witness_sound(isotropic, result)
 
 
+def _box_witness(c, bound):
+    """The box search even_witness ran before its closed form, kept as an oracle.
+
+    Returns (witness coordinates or None, parity obstruction). Candidates in
+    [-bound, bound]^10 match c's leading coordinates mod 2 and have c's norm;
+    the first in lexicographic order wins, and c's own leading coordinates when
+    its trailing two vanish.
+    """
+    v = vec(LMINUS, c)
+    if c[10] % 2 != 0 or c[11] % 2 != 0:
+        return None, True
+    if c[10] == c[11] == 0 and _is_witness(v, c[:10]):
+        return c[:10], False
+    axes = [[x for x in range(-bound, bound + 1) if (x - a) % 2 == 0] for a in c[:10]]
+    for w in box_walk(axes, (LPLUS.gram, norm(v))):
+        if any(w) and _is_witness(v, w):
+            return w, False
+    return None, False
+
+
+@pytest.mark.parametrize(
+    "coords, witness",
+    [
+        ((0,) * 8 + (1, 2, 2, 2), (0,) * 8 + (1, 4)),  # u1 odd: (e, 1, M)
+        ((0,) * 8 + (2, 1, 2, 2), (0,) * 8 + (4, 1)),  # u2 odd: (e, M, 1)
+        ((1,) + (0,) * 11, (1,) + (0,) * 7 + (2, 0)),  # both even, M = 0 mod 4
+        # both even, M = 2: (G e)_2 = 1 is the first odd entry, so e_2 += 2, M' = 4
+        ((1,) + (0,) * 9 + (2, 2), (1, 0, 2) + (0,) * 5 + (2, 2)),
+        # the box search of bound 2 missed this one (u1 odd, M = 3)
+        ((1,) + (0,) * 6 + (1, 1, 1, 2, 2), (1,) + (0,) * 6 + (1, 1, 3)),
+    ],
+)
+def test_witness_closed_form(coords, witness):
+    v = vec(LMINUS, coords)
+    result = even_witness(v)
+    assert result.witness.coords == witness and not result.parity_obstruction
+    _witness_sound(v, result)
+
+
 def test_witness_obstruction():
     result = even_witness(vec(LMINUS, (0,) * 10 + (2, 1)))
     assert result.witness is None
     assert result.parity_obstruction
-    result = even_witness(vec(LMINUS, (0,) * 10 + (4, 3)), bound=3)
+    result = even_witness(vec(LMINUS, (0,) * 10 + (4, 3)))
     assert result.witness is None and result.parity_obstruction
 
 
 def test_witness_box_search():
-    # trailing coordinates even but nonzero, so the search actually runs
+    # trailing coordinates even but nonzero: the box of bound 2 holds a witness,
+    # the box of bound 1 none, and the closed form needs no box
     v = vec(LMINUS, (0,) * 8 + (1, 2, 2, 0))
-    result = even_witness(v, bound=2)
-    assert not result.parity_obstruction
-    _witness_sound(v, result)
-    # same vector, bound too small for any witness: absence is not obstruction
-    tight = even_witness(v, bound=1)
-    assert tight.witness is None and not tight.parity_obstruction
+    assert _box_witness(v.coords, 1) == (None, False)
+    found, obstructed = _box_witness(v.coords, 2)
+    assert found is not None and not obstructed and _is_witness(v, found)
+    _witness_sound(v, even_witness(v))
 
 
 def test_witness_errors():
@@ -200,8 +241,47 @@ def test_witness_errors():
         even_witness(vec(LMINUS, (0,) * 10 + (1, 5)))
     with pytest.raises(NonPrimitive):
         even_witness(vec(LMINUS, (0,) * 10 + (2, 2)))
-    with pytest.raises(NegativeCount):
-        even_witness(vec(LMINUS, (0,) * 8 + (1, 2, 2, 0)), bound=-1)
+
+
+_BRANCHES = ("u1 odd", "u2 odd", "M = 0 mod 4", "M = 2 mod 4")
+
+
+@st.composite
+def _unobstructed(draw):
+    """A branch and a primitive Lminus vector with even trailing coordinates in it.
+
+    With u1 and u2 even, M = u1*u2 + 2*beta1*beta2 is 2 mod 4 exactly when
+    beta1 and beta2 are both odd.
+    """
+    branch = draw(st.sampled_from(_BRANCHES))
+    small = st.integers(-3, 3)
+    e = [draw(small) for _ in range(8)]
+    u1 = 2 * draw(small) + (branch == "u1 odd")
+    u2 = 2 * draw(small) + (branch == "u2 odd" or branch == "u1 odd" and draw(st.booleans()))
+    beta1, beta2 = draw(small), draw(small)
+    if branch == "M = 2 mod 4":
+        beta1, beta2 = 2 * beta1 + 1, 2 * beta2 + 1
+    elif branch == "M = 0 mod 4":
+        beta1 *= 2
+    c = (*e, u1, u2, 2 * beta1, 2 * beta2)
+    assume(math.gcd(*c) == 1)
+    return branch, c
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_unobstructed())
+def test_witness_closed_form_against_the_definition(case):
+    branch, c = case
+    u1, u2, b1, b2 = c[8:]
+    m = u1 * u2 + b1 * b2 // 2
+    seen = "u1 odd" if u1 % 2 else "u2 odd" if u2 % 2 else _BRANCHES[2 + (m % 4 == 2)]
+    assert seen == branch
+    v = vec(LMINUS, c)
+    result = even_witness(v)
+    assert not result.parity_obstruction
+    _witness_sound(v, result)
+    for bound in (1, 2):
+        assert _box_witness(c, bound) == (None, False) or result.witness is not None
 
 
 def _witness_inputs():
@@ -223,14 +303,18 @@ def _witness_inputs():
 
 def test_witness_pinned_digest():
     # recorded from the product-and-filter search that even_witness ran before
-    # the norm-solving walker; the inputs hit found, not found within the
-    # bound, obstructed and direct results
+    # the norm-solving walker, and now computed from the test-local box search;
+    # the inputs hit found, not found within the bound, obstructed and direct
+    # results, and wherever the box holds a witness the closed form gives one
     digest = hashlib.sha256()
     for c in _witness_inputs():
+        closed = even_witness(vec(LMINUS, c))
         for bound in (1, 2):
-            r = even_witness(vec(LMINUS, c), bound)
-            w = None if r.witness is None else r.witness.coords
-            digest.update(f"{c} {bound} {w} {r.parity_obstruction} {r.bound}\n".encode())
+            w, obstructed = _box_witness(c, bound)
+            digest.update(f"{c} {bound} {w} {obstructed} {bound}\n".encode())
+            assert closed.parity_obstruction == obstructed
+            if w is not None:
+                _witness_sound(vec(LMINUS, c), closed)
     assert digest.hexdigest() == "31a2a1a466059b7ef0186bff40357d9faf957a5d2603d0dbb3c2c3105308a7cb"
 
 
@@ -271,6 +355,30 @@ def test_cross_checks_survive_python_O(package_env):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["classify raised", "representative raised"]
+
+
+def test_witness_check_survives_python_O(package_env):
+    code = textwrap.dedent(
+        """
+        from lattice_orbits import orbits
+        from lattice_orbits.errors import InvariantViolation
+        from lattice_orbits.lattices import resolve
+        from lattice_orbits.vectors import vec
+
+        if __debug__:
+            raise SystemExit("expected python -O, which strips assert statements")
+        orbits._witness_ok = lambda v, w: False  # every witness now fails its check
+        try:
+            orbits.even_witness(vec(resolve("Lminus"), (0,) * 8 + (2, 1, 0, 0)))
+        except InvariantViolation as exc:
+            print("even_witness raised:", exc)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=package_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("even_witness raised: witness ")
 
 
 def test_heegner_reports():
