@@ -15,24 +15,24 @@ Every walk has one budget, WALK_BUDGET tuples: the product of the walked axis
 lengths, leaving out the solved last axis when a norm is given. A larger walk
 is refused with BoxTooLarge before it starts.
 
-The definite engine completes the square over the rationals once, Q(v) =
-sum_i d_i (v_i + sum_{j>i} c_ij v_j)^2, and scales d and c by the lcm S of
-their denominators. The descent then runs on integers only: it keeps rem * S^3
-and S * center as ints, and coordinate i takes exactly the x with
+The definite engine takes the pivots d and multipliers c of `matrix.ldl`,
+Q(v) = sum_i d_i (v_i + sum_{j>i} c_ij v_j)^2, and scales them by the lcm S
+of their denominators. The descent then runs on integers only: it keeps
+rem * S^3 and S * center as ints, and coordinate i takes exactly the x with
 |S x + S center| <= isqrt(rem * S^3 // (S d_i)), an exact bound because the
 left side is an integer. So no vector is missed however skew the basis is, and
-no candidate needs a second comparison. The completion is also the
-definiteness check, so it runs first; every norm is a multiple of the form's
-content gcd(G_ii, 2 G_ij), so any other target then gives the empty tuple
-without a descent.
+no candidate needs a second comparison. The descent is a generator, so a
+count holds no shell. A pivot of the wrong sign refuses the form first; every
+norm is a multiple of the form's content gcd(G_ii, 2 G_ij), so any other
+target then gives nothing without a descent.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import product
 
+from . import matrix
 from .errors import BoxTooLarge, LatticeShapeMismatch, NegativeCount
 from .lattices import Lattice, gram_terms
 
@@ -122,63 +122,54 @@ def _integer_roots(a: int, b: int, c: int):
     return sorted({(d - b) // (2 * a) for d in (s, -s) if (d - b) % (2 * a) == 0})
 
 
-def _completed_square(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Positive definite gram -> (d, c) with Q(v) = sum_i d[i]*(v_i + sum_{j>i} c[i][j] v_j)^2."""
-    n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    c = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        d[k] = a[k][k]
-        if d[k] <= 0:
-            raise LatticeShapeMismatch("form is not positive definite")
-        for j in range(k + 1, n):
-            c[k][j] = a[k][j] / d[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] -= a[i][k] * a[k][j] / d[k]
-    return d, c
+def definite_vectors(lattice: Lattice, target: int):
+    """Each nonzero v with <v, v> == target in a definite lattice, once, as found.
 
-
-def short_vectors_definite(lattice: Lattice, target: int) -> tuple[tuple[int, ...], ...]:
-    """All nonzero v with <v, v> == target in a definite lattice, sorted.
-
-    Works for either sign of definiteness, which the sign of G_00 picks. A
-    form that is not definite raises LatticeShapeMismatch whatever the target.
-    A target of the other sign, or one that is not a multiple of the form's
-    content gcd(G_ii, 2 G_ij), then gives the empty tuple without a descent.
+    Works for either sign of definiteness, which the sign of G_00 picks. At
+    the call, a form that is not definite raises LatticeShapeMismatch whatever
+    the target; a target of the other sign, or off the form's content
+    gcd(G_ii, 2 G_ij), then gives an empty iterator without a descent.
     """
     sign = 1 if lattice.gram[0][0] > 0 else -1
-    d, c = _completed_square([[sign * x for x in row] for row in lattice.gram])
+    d, c = matrix.ldl(lattice.gram)
+    d = [sign * p for p in d]
+    if min(d) <= 0:
+        raise LatticeShapeMismatch("form is not positive definite")
     goal = sign * target
     if goal < 0 or goal % math.gcd(*(k for _, _, k in lattice.upper_terms)):
-        return ()
+        return iter(())
     return _descend(d, c, goal)
 
 
-def _descend(d, c, goal: int) -> tuple[tuple[int, ...], ...]:
-    """Nonzero integer v, sorted, with sum_i d_i (v_i + sum_{j>i} c_ij v_j)^2 == goal."""
+def short_vectors_definite(lattice: Lattice, target: int) -> tuple[tuple[int, ...], ...]:
+    """All nonzero v with <v, v> == target in a definite lattice, sorted; see definite_vectors."""
+    return tuple(sorted(definite_vectors(lattice, target)))
+
+
+def _descend(d, c, goal: int):
+    """Each nonzero integer v with sum_i d_i (v_i + sum_j c_ij v_j)^2 == goal, once.
+
+    d holds positive pivots and c[i] the nonzero (j, c_ij), j > i, as
+    `matrix.ldl` gives them.
+    """
     n = len(d)
-    # D_i = S d_i and the nonzero C_ij = S c_ij, all integers
-    scale = math.lcm(*(x.denominator for x in d), *(x.denominator for row in c for x in row))
+    # D_i = S d_i and C_ij = S c_ij, all integers
+    scale = math.lcm(*(x.denominator for x in d), *(x.denominator for row in c for _, x in row))
     dd = [int(scale * x) for x in d]
-    cc = [[(j, int(scale * row[j])) for j in range(i + 1, n) if row[j]] for i, row in enumerate(c)]
-    found: list[tuple[int, ...]] = []
+    cc = [[(j, int(scale * x)) for j, x in row] for row in c]
     v = [0] * n
 
     def descend(i: int, rem: int):
-        if i < 0:
-            if rem == 0 and any(v):
-                found.append(tuple(v))
-            return
         cs = sum([k * v[j] for j, k in cc[i]])
         # D_i (S x + cs)^2 <= rem, i.e. |S x + cs| <= isqrt(rem // D_i), exactly
         radius = math.isqrt(rem // dd[i])
         for x in range(-((cs + radius) // scale), (radius - cs) // scale + 1):
             t = scale * x + cs
             v[i] = x
-            descend(i - 1, rem - dd[i] * t * t)
+            if i:
+                yield from descend(i - 1, rem - dd[i] * t * t)
+            elif rem == dd[0] * t * t and any(v):  # the last coordinate, checked in place
+                yield tuple(v)
         v[i] = 0
 
-    descend(n - 1, goal * scale**3)
-    return tuple(sorted(found))
+    return descend(n - 1, goal * scale**3)

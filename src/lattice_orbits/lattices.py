@@ -18,9 +18,10 @@ whether a lattice is what `resolve` gives for its name.
 Each lattice also carries its nonzero Gram terms, derived from the matrix on
 first use. Lminus has 26 nonzero entries out of 144, so form evaluations run
 over the terms; a diagonal matrix shows in them at no cost, which makes its
-determinant and signature linear in the rank. The norm c^T G c has one
-evaluator, `quadratic`, over the upper-triangle terms: 17 of them on Lminus,
-each off-diagonal entry once with a factor of 2.
+determinant and signature linear in the rank; otherwise they come from
+`matrix.det` (Bareiss) and the pivot signs of `matrix.ldl`. The norm c^T G c
+has one evaluator, `quadratic`, over the upper-triangle terms: 17 of them on
+Lminus, each off-diagonal entry once with a factor of 2.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import matrix
 from .errors import (
@@ -254,54 +254,11 @@ def is_unimodular(lattice: Lattice) -> bool:
 
 
 def signature(lattice: Lattice) -> Signature:
-    """Inertia: sign counts of a diagonal Gram matrix, else `_inertia`."""
+    """Inertia: sign counts of a diagonal Gram matrix, else of the `matrix.ldl` pivots."""
     diag = _diagonal(lattice)
     if diag is None:
-        return _inertia(lattice.gram)
+        diag, _ = matrix.ldl(lattice.gram)
     return Signature(sum(d > 0 for d in diag), sum(d < 0 for d in diag), diag.count(0))
-
-
-def _inertia(gram: matrix.IntMatrix) -> Signature:
-    """Inertia by symmetric congruence elimination over the rationals.
-
-    The pivot count is basis independent (Sylvester); zero pivots count the
-    radical, so degenerate forms report a nonzero third component.
-    """
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = zero = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((t for t in range(k + 1, n) if a[t][t] != 0), None)
-            if j is not None:
-                a[k], a[j] = a[j], a[k]
-                for row in a:
-                    row[k], row[j] = row[j], row[k]
-            else:
-                j = next((t for t in range(k + 1, n) if a[k][t] != 0), None)
-                if j is not None:
-                    # both diagonals vanish, so this leaves 2*a[k][j] on the pivot
-                    for c in range(n):
-                        a[k][c] += a[j][c]
-                    for r in range(n):
-                        a[r][k] += a[r][j]
-        p = a[k][k]
-        if p == 0:
-            zero += 1
-            continue
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        col = [a[i][k] for i in range(n)]
-        for i in range(k + 1, n):
-            if col[i] == 0:
-                continue
-            for j in range(k + 1, n):
-                a[i][j] -= col[i] * col[j] / p
-        for i in range(k + 1, n):
-            a[i][k] = a[k][i] = Fraction(0)
-    return Signature(pos, neg, zero)
 
 
 def _builtins() -> dict[str, Lattice]:

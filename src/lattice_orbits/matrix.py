@@ -6,6 +6,8 @@ determinant is exact at any size.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 
@@ -69,3 +71,46 @@ def det(m: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def ldl(gram: IntMatrix) -> tuple[list[Fraction], list[list[tuple[int, Fraction]]]]:
+    """The one symmetric (LDL^T) elimination, over the rationals: pivots d, multipliers c.
+
+    c[k] holds the nonzero (j, c_kj), j > k. With no zero diagonal on the way,
+    as for every definite form, Q(v) = sum_k d[k] (v_k + sum_j c_kj v_j)^2. A
+    zero diagonal is first swapped with a later nonzero one, else row and
+    column j, the first with a_kj != 0, are added to k, leaving 2 a_kj on the
+    pivot. The pivot signs are the inertia either way (Sylvester), zero pivots
+    counting the radical. A step touches only its pivot row's nonzero entries.
+    """
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    d, c = [], []
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((t for t in range(k + 1, n) if a[t][t] != 0), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((t for t in range(k + 1, n) if a[k][t] != 0), None)
+                if j is not None:
+                    # both diagonals vanish, so this leaves 2*a[k][j] on the pivot
+                    for t in range(n):
+                        a[k][t] += a[j][t]
+                    for row in a:
+                        row[k] += row[j]
+        row = a[k]
+        p = row[k]
+        d.append(p)
+        # a zero pivot left here has a zero row: a radical vector, nothing to eliminate
+        nonzero = [(j, row[j]) for j in range(k + 1, n) if row[j]]
+        multipliers = [(j, x / p) for j, x in nonzero]
+        c.append(multipliers)
+        # a_ij -= a_ki c_kj on the trailing block, each symmetric pair once
+        for s, (i, x) in enumerate(nonzero):
+            ai = a[i]
+            for j, m in multipliers[s:]:
+                ai[j] = a[j][i] = ai[j] - x * m
+    return d, c

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .enumeration import box_range, box_vectors, box_walk, check_counts, short_vectors_definite
+from .enumeration import box_range, box_vectors, box_walk, check_counts, definite_vectors
 from .errors import (
     LabelParityMismatch,
     LatticeShapeMismatch,
@@ -264,9 +264,9 @@ def wall_scan(s: int, t: int, bound: int) -> SuiteResult:
 # classical anchors for the definite enumerator
 EXPECTED_E8_COUNTS = {-2: 240, -4: 2160}
 # the lowest norm e8_vector_count enumerates: the shell of norm -2k holds
-# 240*sigma_3(k) vectors, all of them held at once, at most 82,560 for k <= 7
-# and over 10^5 for k >= 8 (sigma_3(k) >= k^3); an odd norm counts 0 at once,
-# since every E8 norm is even
+# 240*sigma_3(k) vectors, at most 82,560 for k <= 7 and over 10^5 for k >= 8
+# (sigma_3(k) >= k^3), counted as they are found, so the cap bounds time;
+# an odd norm counts 0 at once, since every E8 norm is even
 E8_MIN_NORM = -14
 
 
@@ -278,7 +278,7 @@ def e8_vector_count(norm: int = -2) -> int:
     """
     if norm < E8_MIN_NORM:
         raise LimitExceeded(f"E8 vector counts need norm >= {E8_MIN_NORM}, got {norm}")
-    return len(short_vectors_definite(resolve("E8"), norm))
+    return sum(1 for _ in definite_vectors(resolve("E8"), norm))
 
 
 def e8_suite(norm: int = -2) -> SuiteResult:

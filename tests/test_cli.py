@@ -347,7 +347,7 @@ def test_work_caps_are_refused_before_any_work(argv, message, monkeypatch):
         raise AssertionError("the capped work started")
 
     monkeypatch.setattr(orbits, "heegner_report", refuse)
-    monkeypatch.setattr(oracle, "short_vectors_definite", refuse)
+    monkeypatch.setattr(oracle, "definite_vectors", refuse)
     code, out, err = run_cli(argv)
     assert (code, err) == (2, "")
     doc = json.loads(out)

@@ -18,7 +18,7 @@ from lattice_orbits.enumeration import (
 from lattice_orbits.errors import BoxTooLarge, LatticeError, LatticeShapeMismatch, NegativeCount
 from lattice_orbits.isometries import sample_word
 from lattice_orbits.lattices import Lattice, inner, resolve
-from lattice_orbits.matrix import det, mat_mul, transpose
+from lattice_orbits.matrix import det, ldl, mat_mul, transpose
 from lattice_orbits.oracle import enumerate_primitive, wall_scan
 
 
@@ -215,6 +215,22 @@ def test_short_vectors_match_a_bounding_box(case):
     box = product(*(range(-b, b + 1) for b in bounds))
     expected = sorted(v for v in box if any(v) and inner(lattice, v, v) == target)
     assert list(short_vectors_definite(lattice, target)) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_definite_case(), st.data())
+def test_ldl_completes_the_square_of_a_definite_form(case, data):
+    lattice, sign, _ = case
+    n = lattice.rank
+    d, c = ldl(lattice.gram)
+    # the pivots are the ratios of successive leading principal minors
+    minors = [1] + [det([row[:k] for row in lattice.gram[:k]]) for k in range(1, n + 1)]
+    assert d == [Fraction(minors[k + 1], minors[k]) for k in range(n)]
+    assert all(sign * p > 0 for p in d)
+    assert all(i < j and x for i, row in enumerate(c) for j, x in row)
+    v = data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    completed = sum(d[i] * (v[i] + sum(x * v[j] for j, x in c[i])) ** 2 for i in range(n))
+    assert completed == inner(lattice, v, v)
 
 
 def test_output_sorted_and_nonzero():

@@ -1,4 +1,7 @@
+import ast
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from lattice_orbits.errors import (
 )
 from lattice_orbits.lattices import (
     Lattice,
+    Signature,
     base_plus_i11,
     builtin_names,
     determinant,
@@ -287,6 +291,48 @@ def test_terms_are_lazy_and_outside_equality():
     assert "terms" not in repr(lattice)
 
 
+def _dense_inertia(gram) -> Signature:
+    """Reference inertia: a dense symmetric elimination with every entry a Fraction.
+
+    Kept here, apart from the library's sparse `matrix.ldl`, as its oracle.
+    """
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = zero = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((t for t in range(k + 1, n) if a[t][t] != 0), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((t for t in range(k + 1, n) if a[k][t] != 0), None)
+                if j is not None:
+                    # both diagonals vanish, so this leaves 2*a[k][j] on the pivot
+                    for c in range(n):
+                        a[k][c] += a[j][c]
+                    for r in range(n):
+                        a[r][k] += a[r][j]
+        p = a[k][k]
+        if p == 0:
+            zero += 1
+            continue
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        col = [a[i][k] for i in range(n)]
+        for i in range(k + 1, n):
+            if col[i] == 0:
+                continue
+            for j in range(k + 1, n):
+                a[i][j] -= col[i] * col[j] / p
+        for i in range(k + 1, n):
+            a[i][k] = a[k][i] = Fraction(0)
+    return Signature(pos, neg, zero)
+
+
 def test_diagonal_determinant_and_signature_match_general_paths():
     rng = random.Random(6)
     lattices_seen = [make_i(s, t) for s in range(4) for t in range(4) if s + t]
@@ -308,8 +354,64 @@ def test_diagonal_determinant_and_signature_match_general_paths():
     for lattice in lattices_seen:
         kinds.add((lattices._diagonal(lattice) is not None, determinant(lattice) == 0))
         assert determinant(lattice) == matrix.det(lattice.gram)
-        assert signature(lattice) == lattices._inertia(lattice.gram)
+        assert signature(lattice) == _dense_inertia(lattice.gram)
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@st.composite
+def _form_and_unimodular(draw):
+    """A block-diagonal Gram of rank 2..7 with zero diagonals and U blocks, and a unimodular P."""
+    blocks = []
+    while sum(map(len, blocks)) < 2 or (sum(map(len, blocks)) < 6 and draw(st.booleans())):
+        kind = draw(st.sampled_from(("U", "zero diagonal", "random")))
+        m = 2 if kind == "U" else draw(st.integers(1, 3))
+        block = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                if kind == "U":
+                    block[i][j] = block[j][i] = int(i != j)
+                elif i != j or kind == "random":
+                    block[i][j] = block[j][i] = draw(st.integers(-3, 3))
+        blocks.append(block)
+    n = sum(map(len, blocks))
+    gram = [[0] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            gram[start + i][start:start + len(row)] = row
+        start += len(block)
+    lower = [[int(i == j) if j >= i else draw(st.integers(-2, 2)) for j in range(n)] for i in range(n)]
+    upper = [[int(i == j) if j <= i else draw(st.integers(-2, 2)) for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    p = matrix.mat_mul([lower[k] for k in perm], upper)  # det +-1
+    return matrix.freeze(gram), p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_form_and_unimodular())
+def test_signature_is_invariant_under_unimodular_change_of_basis(case):
+    # Sylvester's law of inertia: sig(P^T G P) = sig(G) for every invertible P
+    gram, p = case
+    moved = matrix.mat_mul(matrix.transpose(p), matrix.mat_mul(gram, p))
+    sig = signature(Lattice("G", len(gram), gram))
+    assert sig == _dense_inertia(gram)
+    assert signature(Lattice("PGP", len(moved), moved)) == sig
+
+
+def test_only_matrix_imports_fractions():
+    # one rational elimination, matrix.ldl; every other module stays on ints
+    importers = set()
+    for path in sorted(Path(lattices.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "fractions" for module in modules):
+                importers.add(path.name)
+    assert importers == {"matrix.py"}
 
 
 def test_shape_tags():
