@@ -17,7 +17,7 @@ import sys
 from . import jsonio
 from .dilatation import dilate, dilate_inverse
 from .errors import LatticeError
-from .lattices import builtin_names, determinant, is_even, is_unimodular, resolve, signature
+from .lattices import builtin_names, determinant, is_even, resolve, signature
 from .matrix import is_int
 from .orbits import (
     OrbitLabel,
@@ -156,12 +156,12 @@ def _read_doc(path: str, stdin) -> dict:
 
 def _cmd_info(args, stdin):
     lattice = resolve(args.lattice)
-    sig = signature(lattice)
+    sig, det = signature(lattice), determinant(lattice)
     doc = jsonio.lattice_to_json(lattice)
     doc["even"] = is_even(lattice)
-    doc["unimodular"] = is_unimodular(lattice)
+    doc["unimodular"] = abs(det) == 1
     doc["signature"] = {"positive": sig.positive, "negative": sig.negative, "zero": sig.zero}
-    doc["determinant"] = determinant(lattice)
+    doc["determinant"] = det
     return doc, 0
 
 

@@ -18,8 +18,8 @@ whether a lattice is what `resolve` gives for its name.
 Each lattice also carries its nonzero Gram terms, derived from the matrix on
 first use. Lminus has 26 nonzero entries out of 144, so form evaluations run
 over the terms; a diagonal matrix shows in them at no cost, which makes its
-determinant and signature linear in the rank; otherwise they come from
-`matrix.det` (Bareiss) and the pivot signs of `matrix.ldl`. The norm c^T G c
+determinant and signature linear in the rank; otherwise both come from the
+pivots of one `matrix.ldl`, their product and their signs. The norm c^T G c
 has one evaluator, `quadratic`, over the upper-triangle terms: 17 of them on
 Lminus, each off-diagonal entry once with a factor of 2.
 """
@@ -169,14 +169,16 @@ def direct_sum(left: Lattice, right: Lattice, name: str | None = None) -> Lattic
 
 
 def _check_split_base(base: Lattice):
-    # the split shapes only make sense over an even unimodular base,
-    # whose signature difference is then forced to be 0 mod 8
+    # the split shapes only make sense over an even unimodular base; one
+    # elimination gives both the determinant and the signature
     if not is_even(base):
         raise LatticeShapeMismatch(f"base {base.name} is not even")
-    if not is_unimodular(base):
+    pivots = _pivots(base)
+    if abs(math.prod(pivots)) != 1:
         raise LatticeShapeMismatch(f"base {base.name} is not unimodular")
-    sig = signature(base)
-    if (sig.positive - sig.negative) % 8 != 0:
+    # even and unimodular already force this (van der Blij); dropping the check
+    # waits for a benchmark recorder that does not grow with throughput (ROADMAP item 1)
+    if (sum(p > 0 for p in pivots) - sum(p < 0 for p in pivots)) % 8 != 0:
         raise LatticeShapeMismatch(f"base {base.name} signature difference not 0 mod 8")
 
 
@@ -238,10 +240,15 @@ def _diagonal(lattice: Lattice) -> list[int] | None:
     return None
 
 
-def determinant(lattice: Lattice) -> int:
-    """Product of the diagonal when the Gram matrix is diagonal, else Bareiss."""
+def _pivots(lattice: Lattice) -> list:
+    """The diagonal of a diagonal Gram matrix, read off the terms; else the `matrix.ldl` pivots."""
     diag = _diagonal(lattice)
-    return matrix.det(lattice.gram) if diag is None else math.prod(diag)
+    return matrix.ldl(lattice.gram)[0] if diag is None else diag
+
+
+def determinant(lattice: Lattice) -> int:
+    """Product of the pivots: each `ldl` fix-up is a congruence by a matrix of determinant +-1."""
+    return int(math.prod(_pivots(lattice)))
 
 
 def is_even(lattice: Lattice) -> bool:
@@ -254,11 +261,9 @@ def is_unimodular(lattice: Lattice) -> bool:
 
 
 def signature(lattice: Lattice) -> Signature:
-    """Inertia: sign counts of a diagonal Gram matrix, else of the `matrix.ldl` pivots."""
-    diag = _diagonal(lattice)
-    if diag is None:
-        diag, _ = matrix.ldl(lattice.gram)
-    return Signature(sum(d > 0 for d in diag), sum(d < 0 for d in diag), diag.count(0))
+    """Inertia: the sign counts of the pivots (Sylvester)."""
+    pivots = _pivots(lattice)
+    return Signature(sum(p > 0 for p in pivots), sum(p < 0 for p in pivots), pivots.count(0))
 
 
 def _builtins() -> dict[str, Lattice]:

@@ -29,7 +29,7 @@ from .errors import (
     OddNormInEvenLattice,
     ZeroVector,
 )
-from .isometries import apply, certify, sample_word
+from .isometries import MAX_WORD_LENGTH, apply, certify, sample_word
 from .lattices import TWISTED_PLUS_U, Lattice, is_unimodular, quadratic, resolve, signature, split_base
 from .orbits import OrbitLabel, classify, representative
 from .vectors import LatticeVector, VectorType, norm, vector_type
@@ -109,6 +109,12 @@ def random_primitive(lattice: Lattice, rng: random.Random, bound: int) -> Lattic
         return LatticeVector(lattice, tuple(c // g for c in coords))
 
 
+def _check_word_length(word_length: int) -> None:
+    """Refuse a word past MAX_WORD_LENGTH before a suite draws a vector or scans a box."""
+    if word_length > MAX_WORD_LENGTH:
+        raise LimitExceeded(f"isometry words hold at most {MAX_WORD_LENGTH} generators, got {word_length}")
+
+
 def invariance_suite(
     lattice: Lattice,
     samples: int,
@@ -125,6 +131,7 @@ def invariance_suite(
     base(2) + U lattice.
     """
     check_counts(samples=samples, bound=bound, word_length=word_length)
+    _check_word_length(word_length)
     split_base(lattice, TWISTED_PLUS_U)
     extra = tuple(certify(lattice, m) for m in isometries or ())
     rng = random.Random(seed)
@@ -169,6 +176,7 @@ def connectivity_experiment(
     before the box is scanned.
     """
     check_counts(bound=bound, walks=walks, word_length=word_length)
+    _check_word_length(word_length)
     split_base(lattice, TWISTED_PLUS_U)
     scan = enumerate_primitive(lattice, bound, norm)
     labels = {v.coords: classify(v).label for v in scan.vectors}

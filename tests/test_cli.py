@@ -340,6 +340,10 @@ def test_oversized_i_s_t_is_refused_before_it_is_built(argv, monkeypatch):
         (["heegner", "--from", "1", "--to", "100000000"], "heegner ranges hold at most 10000 values of n"),
         (["oracle-e8", "--norm", "-16"], "E8 vector counts need norm >= -14, got -16"),
         (["oracle-e8", "--norm", "-99999999"], "E8 vector counts need norm >= -14, got -99999999"),
+        (["oracle-invariance", "--word-length", "10001"],
+         "isometry words hold at most 10000 generators, got 10001"),
+        (["oracle-connectivity", "--norm", "2", "--word-length", "10001"],
+         "isometry words hold at most 10000 generators, got 10001"),
     ],
 )
 def test_work_caps_are_refused_before_any_work(argv, message, monkeypatch):
@@ -348,6 +352,8 @@ def test_work_caps_are_refused_before_any_work(argv, message, monkeypatch):
 
     monkeypatch.setattr(orbits, "heegner_report", refuse)
     monkeypatch.setattr(oracle, "definite_vectors", refuse)
+    monkeypatch.setattr(oracle, "random_primitive", refuse)
+    monkeypatch.setattr(oracle, "enumerate_primitive", refuse)
     code, out, err = run_cli(argv)
     assert (code, err) == (2, "")
     doc = json.loads(out)

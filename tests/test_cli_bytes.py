@@ -6,7 +6,8 @@ recorded before the CLI stopped importing the oracles for every command, so
 any change to a document, a help text, a message or an exit code shows here.
 The documents, pretty, help and errors digests were re-recorded when the
 witness command lost its --bound option and its documents their "bound" key;
-nothing else in those groups changed.
+nothing else in those groups changed. The word_bounds group was recorded
+when isometry words got their length cap; no earlier group changed with it.
 Help texts are rendered at a fixed terminal width; argparse's help layout also
 varies across Python minor versions, and these digests were recorded on 3.11.
 """
@@ -127,6 +128,12 @@ BOUNDS = [
     ["oracle-e8", "--norm", "1000000000"],
 ]
 
+# the isometry word cap (10^4 generators) of both word-drawing suites, just past it
+WORD_BOUNDS = [
+    ["oracle-invariance", "--word-length", "10001"],
+    ["oracle-connectivity", "--norm", "2", "--word-length", "10001"],
+]
+
 # run with every suite made to report a violation (exit 3), see _break_suites
 FAILURES = [
     ["oracle-invariance", "--lattice", "U2U", "--samples", "20", "--seed", "7"],
@@ -143,6 +150,7 @@ PINNED = {
     "errors": "8fdfc47d46e57ac73227f1fe68f3a0954c235d56ce3c37a4d71bd64fa597c3ae",
     "failures": "d5b6f682b8c2ec794f089b14d887f3065812ec4c31c3470f17a16cd89b07fb52",
     "bounds": "606c3b86868db5cd8062a029d7f03f3944c2fc8fcb2dd479ff8ae5bea773d514",
+    "word_bounds": "e72f5184f242057775d1d303c6dfced603e0accf7fd28f1b380a29de10eb2b87",
 }
 
 
@@ -168,7 +176,7 @@ def _break_suites(monkeypatch):
 @pytest.mark.parametrize(
     "group, cases",
     [("documents", DOCUMENTS), ("pretty", PRETTY), ("help", HELP), ("errors", ERRORS),
-     ("failures", FAILURES), ("bounds", BOUNDS)],
+     ("failures", FAILURES), ("bounds", BOUNDS), ("word_bounds", WORD_BOUNDS)],
 )
 def test_cli_bytes_pinned(group, cases, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width

@@ -1,9 +1,12 @@
+import math
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_orbits.dilatation import (
     HalfVector,
@@ -17,7 +20,15 @@ from lattice_orbits.dilatation import (
 )
 from lattice_orbits.errors import LatticeShapeMismatch, NotInHalfLattice, RankMismatch
 from lattice_orbits.lattices import direct_sum, make_e8, make_u, resolve, twisted_plus_u
-from lattice_orbits.vectors import VectorType, is_primitive, norm, vec, vector_type
+from lattice_orbits.vectors import (
+    VectorType,
+    characteristic_by_parity,
+    is_characteristic,
+    is_primitive,
+    norm,
+    vec,
+    vector_type,
+)
 
 LMINUS = resolve("Lminus")
 U2U = resolve("U2U")
@@ -156,3 +167,23 @@ def test_parity_trichotomy_rank4():
             assert not (b1 % 2 == 1 and b2 % 2 == 1)
         if norm(v) % 4 == 0:
             assert is_integral(dilate(v)) == (b1 % 2 == 0 and b2 % 2 == 0)
+
+
+@st.composite
+def _primitive_vectors(draw):
+    lattice = draw(st.sampled_from((LMINUS, U2U)))
+    coords = draw(st.lists(st.integers(-50, 50), min_size=lattice.rank, max_size=lattice.rank)
+                  .filter(lambda c: math.gcd(*c) == 1))
+    return vec(lattice, coords)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_primitive_vectors())
+def test_halving_round_trip_and_parity_on_random_primitive_vectors(v):
+    h = dilate(v)
+    assert dilate_inverse(h) == v
+    assert 2 * half_norm(h) == norm(v)
+    r = v.lattice.shape.base.rank
+    assert is_integral(h) == (v.coords[r] % 2 == v.coords[r + 1] % 2)
+    # the parity shortcut against the definition, pairings with every basis vector
+    assert characteristic_by_parity(double(h)) == is_characteristic(double(h))

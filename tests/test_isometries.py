@@ -9,6 +9,7 @@ from lattice_orbits import isometries
 from lattice_orbits.errors import (
     IsotropicReflectionVector,
     LatticeMismatch,
+    LimitExceeded,
     NegativeCount,
     NoGeneratorRecipe,
     NotIntegralReflection,
@@ -18,6 +19,7 @@ from lattice_orbits.errors import (
     OddLattice,
 )
 from lattice_orbits.isometries import (
+    MAX_WORD_LENGTH,
     Isometry,
     apply,
     block_swap,
@@ -188,6 +190,18 @@ def test_no_recipe():
 def test_sample_word_rejects_negative_length():
     with pytest.raises(NegativeCount):
         sample_word(LMINUS, 1, -1)
+
+
+def test_sample_word_refuses_a_word_past_the_cap_before_any_work(monkeypatch):
+    u2u = resolve("U2U")
+    assert sample_word(u2u, 1, MAX_WORD_LENGTH).lattice == u2u  # the cap itself runs
+
+    def refuse(lattice):
+        raise AssertionError("the generator pool was built")
+
+    monkeypatch.setattr(isometries, "_generator_pool", refuse)
+    with pytest.raises(LimitExceeded, match=r"^isometry words hold at most 10000 generators, got 10001$"):
+        sample_word(LMINUS, 1, MAX_WORD_LENGTH + 1)
 
 
 # sha256 over f"{seed} {length} {matrix!r}\n" for seeds 0-49 and lengths 0, 1, 4,

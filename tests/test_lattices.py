@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_orbits import jsonio, lattices, matrix
+from lattice_orbits.dilatation import half_target
 from lattice_orbits.errors import (
     EmptyLattice,
     LatticeShapeMismatch,
@@ -35,6 +36,8 @@ from lattice_orbits.lattices import (
     twist,
     twisted_plus_u,
 )
+from lattice_orbits.orbits import OrbitLabel, classify
+from lattice_orbits.vectors import vec
 
 
 def test_u_gram_and_determinant():
@@ -380,11 +383,20 @@ def _form_and_unimodular(draw):
         for i, row in enumerate(block):
             gram[start + i][start:start + len(row)] = row
         start += len(block)
+    return matrix.freeze(gram), draw(_unimodular(n))
+
+
+@st.composite
+def _unimodular(draw, n):
+    """A random n x n integer matrix of determinant +-1: permuted lower times upper unitriangular."""
     lower = [[int(i == j) if j >= i else draw(st.integers(-2, 2)) for j in range(n)] for i in range(n)]
     upper = [[int(i == j) if j <= i else draw(st.integers(-2, 2)) for j in range(n)] for i in range(n)]
     perm = draw(st.permutations(range(n)))
-    p = matrix.mat_mul([lower[k] for k in perm], upper)  # det +-1
-    return matrix.freeze(gram), p
+    return matrix.mat_mul([lower[k] for k in perm], upper)
+
+
+def _congruent(gram, p):
+    return matrix.mat_mul(matrix.transpose(p), matrix.mat_mul(gram, p))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -392,10 +404,68 @@ def _form_and_unimodular(draw):
 def test_signature_is_invariant_under_unimodular_change_of_basis(case):
     # Sylvester's law of inertia: sig(P^T G P) = sig(G) for every invertible P
     gram, p = case
-    moved = matrix.mat_mul(matrix.transpose(p), matrix.mat_mul(gram, p))
-    sig = signature(Lattice("G", len(gram), gram))
+    moved = _congruent(gram, p)
+    form, congruent = Lattice("G", len(gram), gram), Lattice("PGP", len(moved), moved)
+    sig = signature(form)
     assert sig == _dense_inertia(gram)
-    assert signature(Lattice("PGP", len(moved), moved)) == sig
+    assert signature(congruent) == sig
+    # det(P^T G P) = det(P)^2 det(G) = det(G), read off the same pivots as the signature
+    assert determinant(congruent) == determinant(form) == matrix.det(gram)
+
+
+# (block, (positive, negative)) for the even unimodular blocks U, E8 and E8(-1)
+_EVEN_UNIMODULAR_BLOCKS = ((make_u(), (1, 1)), (make_e8(), (0, 8)), (twist(make_e8(), -1), (8, 0)))
+
+
+@st.composite
+def _even_unimodular(draw):
+    """A sum of even unimodular blocks in a random unimodular basis, and its signature."""
+    blocks = draw(st.lists(st.sampled_from(_EVEN_UNIMODULAR_BLOCKS), min_size=1, max_size=3))
+    body = blocks[0][0]
+    for block, _ in blocks[1:]:
+        body = direct_sum(body, block)
+    moved = _congruent(body.gram, draw(_unimodular(body.rank)))
+    positive, negative = (sum(counts) for counts in zip(*(sig for _, sig in blocks)))
+    return Lattice("G", body.rank, moved), Signature(positive, negative, 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_even_unimodular())
+def test_even_unimodular_forms_have_signature_zero_mod_8(case):
+    # van der Blij: an even unimodular form has signature difference 0 mod 8, so
+    # _check_split_base's third test cannot fire; this recomputes it from the forms
+    lattice, expected = case
+    sig = signature(lattice)
+    assert sig == expected and (sig.positive - sig.negative) % 8 == 0
+    assert is_even(lattice) and abs(determinant(lattice)) == 1
+    assert twisted_plus_u(lattice, name="T").shape.base == lattice
+
+
+def test_split_proofs_run_one_elimination(monkeypatch):
+    # the ldl pivots give both the determinant and the signature of a split base
+    def refuse(m):
+        raise AssertionError("matrix.det was called")
+
+    eliminated = []
+    honest_ldl = matrix.ldl
+
+    def counting_ldl(gram):
+        eliminated.append(gram)
+        return honest_ldl(gram)
+
+    monkeypatch.setattr(matrix, "det", refuse)
+    monkeypatch.setattr(matrix, "ldl", counting_ldl)
+    e8_u = direct_sum(make_e8(), make_u())
+    for build in (twisted_plus_u, base_plus_i11):
+        eliminated.clear()
+        assert build(e8_u, name="T").shape.base == e8_u
+        assert eliminated == [e8_u.gram]
+    lminus = resolve("Lminus")
+    eliminated.clear()
+    assert half_target(lminus) == resolve("E8_U_I11")
+    assert eliminated == [e8_u.gram]
+    assert classify(vec(lminus, (0,) * 10 + (1, 5))).label is OrbitLabel.ODD
+    assert classify(vec(resolve("U2U"), (0, 0, 1, 4))).label is OrbitLabel.EVEN_ORDINARY
 
 
 def test_only_matrix_imports_fractions():
@@ -423,10 +493,10 @@ def test_shape_tags():
 
 
 def test_split_constructors_reject_bad_bases():
-    with pytest.raises(LatticeShapeMismatch):
-        twisted_plus_u(make_i(1, 1), name="bad")  # odd base
-    with pytest.raises(LatticeShapeMismatch):
-        base_plus_i11(twist(make_u(), 2), name="bad")  # non-unimodular base
+    with pytest.raises(LatticeShapeMismatch, match=r"^base I_1_1 is not even$"):
+        twisted_plus_u(make_i(1, 1), name="bad")
+    with pytest.raises(LatticeShapeMismatch, match=r"^base U\(2\) is not unimodular$"):
+        base_plus_i11(twist(make_u(), 2), name="bad")
 
 
 # every fixed built-in, several I_s_t, and a custom non-diagonal lattice
