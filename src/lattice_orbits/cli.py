@@ -17,7 +17,7 @@ import sys
 from . import jsonio
 from .dilatation import dilate, dilate_inverse
 from .errors import LatticeError
-from .lattices import builtin_names, determinant, is_even, resolve, signature
+from .lattices import builtin_names, is_even, resolve, signature_and_determinant
 from .matrix import is_int
 from .orbits import (
     OrbitLabel,
@@ -156,7 +156,7 @@ def _read_doc(path: str, stdin) -> dict:
 
 def _cmd_info(args, stdin):
     lattice = resolve(args.lattice)
-    sig, det = signature(lattice), determinant(lattice)
+    sig, det = signature_and_determinant(lattice)
     doc = jsonio.lattice_to_json(lattice)
     doc["even"] = is_even(lattice)
     doc["unimodular"] = abs(det) == 1

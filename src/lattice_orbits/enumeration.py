@@ -13,7 +13,8 @@ check. Every root must still be an allowed value of its axis.
 
 Every walk has one budget, WALK_BUDGET tuples: the product of the walked axis
 lengths, leaving out the solved last axis when a norm is given. A larger walk
-is refused with BoxTooLarge before it starts.
+is refused with BoxTooLarge before it starts, read off the lengths of the
+axes as given, so a huge bound allocates nothing before its refusal.
 
 The definite engine takes the pivots d and multipliers c of `matrix.ldl`,
 Q(v) = sum_i d_i (v_i + sum_{j>i} c_ij v_j)^2, and scales them by the lcm S
@@ -65,12 +66,13 @@ def box_walk(axes, form=None):
     Each axis is an ascending sequence of distinct integers. With form =
     (gram, norm), only the tuples c with c^T gram c == norm are yielded, and
     the last coordinate is solved instead of walked. A walk of more than
-    WALK_BUDGET tuples raises BoxTooLarge.
+    WALK_BUDGET tuples raises BoxTooLarge, before any axis is copied.
     """
-    axes = [tuple(axis) for axis in axes]
+    axes = list(axes)
     walked = math.prod(map(len, axes if form is None else axes[:-1]))
     if walked > WALK_BUDGET:
         raise BoxTooLarge(f"box walk of {walked} tuples exceeds the budget of {WALK_BUDGET}")
+    axes = [tuple(axis) for axis in axes]
     if form is None:
         return product(*axes)
     gram, value = form

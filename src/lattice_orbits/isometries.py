@@ -4,13 +4,14 @@ An isometry is an integer matrix M with M^T G M = G and |det M| = 1, acting on
 coordinate columns. Construction always certifies; there is no way to hold an
 uncertified Isometry.
 
-Certification forms G M column by column over the nonzero Gram terms and
-compares the upper triangle of M^T (G M) with G. That is a complete check of
-M^T G M = G, because M^T G M is symmetric whenever G is. When det G != 0 the
-equation forces det(M)^2 = 1, so the Bareiss |det M| = 1 check can never fail;
-it is skipped only where det G != 0 is known without computing it, on the
-built-in lattices (every fixed built-in is nondegenerate and I_s_t has
-det +-1). Every other lattice, degenerate ones included, keeps the check.
+Certification forms G M row by row, one scaled-row update per nonzero Gram
+term, and compares the upper triangle of M^T (G M) with G. That is a complete
+check of M^T G M = G, because M^T G M is symmetric whenever G is. When
+det G != 0 the equation forces det(M)^2 = 1, so the Bareiss |det M| = 1 check
+can never fail; it is skipped only where det G != 0 is known without
+computing it, on the built-in lattices (every fixed built-in is nondegenerate
+and I_s_t has det +-1). Every other lattice, degenerate ones included, keeps
+the check.
 
 Random words are drawn from curated generator recipes per built-in lattice:
 reflections in short vectors (precomputed pools), hyperbolic block swaps,
@@ -25,9 +26,10 @@ Each pool reflection is certified when it is built, as the rank-one update
 I - delta c^T that it is stored as, in O(n^2) integer operations and without
 building the matrix (_certify_rank_one). Each transvection's preconditions are
 checked when it is drawn, and every step is applied to the word as a sparse
-row update (a row swap, a sign flip, or a low-rank update of the rows it
-moves). The finished matrix then goes through Isometry like any other, so
-every matrix a caller can apply is still a certified isometry.
+row update (a row swap or a low-rank update of the rows it moves); the
+negations only flip one sign, applied once at the end. The finished matrix
+then goes through Isometry like any other, so every matrix a caller can apply
+is still a certified isometry.
 """
 
 from __future__ import annotations
@@ -69,9 +71,14 @@ class Isometry:
         n = lattice.rank
         if len(m) != n or any(len(row) != n for row in m):
             raise NotIsometry(f"matrix is not {n}x{n}")
-        cols = list(zip(*m))
-        gm_cols = [gram_vec(lattice, col) for col in cols]
-        for a, col in enumerate(cols):  # the upper triangle of M^T (G M)
+        gm = []  # G M by rows: row i is the sum of g * (row j of M) over the nonzero G_ij
+        for terms in lattice.terms:
+            acc = [0] * n
+            for j, k in terms:
+                acc = [a + k * x for a, x in zip(acc, m[j])]
+            gm.append(acc)
+        gm_cols = list(zip(*gm))
+        for a, col in enumerate(zip(*m)):  # the upper triangle of M^T (G M)
             for b in range(a, n):
                 if sum(map(mul, col, gm_cols[b])) != g[a][b]:
                     raise NotIsometry("matrix does not preserve the form")
@@ -428,6 +435,7 @@ def sample_word(lattice: Lattice, seed: int, length: int) -> Isometry:
     kinds.append("negation")
     rng = random.Random(seed)
     word = [list(row) for row in intmat.identity(lattice.rank)]
+    sign = 1  # -I commutes with every step, so the negations are applied once, at the end
     for _ in range(length):  # word <- step . word
         kind = rng.choice(kinds)
         if kind == "reflection":
@@ -438,5 +446,7 @@ def sample_word(lattice: Lattice, seed: int, length: int) -> Isometry:
             s = rng.choice(recipe.swap_blocks)
             word[s], word[s + 1] = word[s + 1], word[s]
         else:
-            word = [[-w for w in row] for row in word]
+            sign = -sign
+    if sign < 0:
+        word = [[-w for w in row] for row in word]
     return Isometry(lattice, tuple(map(tuple, word)))

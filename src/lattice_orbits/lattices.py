@@ -19,9 +19,10 @@ Each lattice also carries its nonzero Gram terms, derived from the matrix on
 first use. Lminus has 26 nonzero entries out of 144, so form evaluations run
 over the terms; a diagonal matrix shows in them at no cost, which makes its
 determinant and signature linear in the rank; otherwise both come from the
-pivots of one `matrix.ldl`, their product and their signs. The norm c^T G c
-has one evaluator, `quadratic`, over the upper-triangle terms: 17 of them on
-Lminus, each off-diagonal entry once with a factor of 2.
+pivots of one `matrix.ldl`, their product and their signs, read together by
+`signature_and_determinant`. The norm c^T G c has one evaluator, `quadratic`,
+over the upper-triangle terms: 17 of them on Lminus, each off-diagonal entry
+once with a factor of 2.
 """
 
 from __future__ import annotations
@@ -246,9 +247,21 @@ def _pivots(lattice: Lattice) -> list:
     return matrix.ldl(lattice.gram)[0] if diag is None else diag
 
 
+def signature_and_determinant(lattice: Lattice) -> tuple[Signature, int]:
+    """The signature and the determinant, from one reading of the pivots.
+
+    The signature is the pivots' sign counts (Sylvester) and the determinant
+    their product: each `ldl` fix-up is a congruence by a matrix of
+    determinant +-1. A caller that needs both pays for one elimination.
+    """
+    pivots = _pivots(lattice)
+    sig = Signature(sum(p > 0 for p in pivots), sum(p < 0 for p in pivots), pivots.count(0))
+    return sig, int(math.prod(pivots))
+
+
 def determinant(lattice: Lattice) -> int:
-    """Product of the pivots: each `ldl` fix-up is a congruence by a matrix of determinant +-1."""
-    return int(math.prod(_pivots(lattice)))
+    """Product of the pivots; see signature_and_determinant."""
+    return signature_and_determinant(lattice)[1]
 
 
 def is_even(lattice: Lattice) -> bool:
@@ -261,9 +274,8 @@ def is_unimodular(lattice: Lattice) -> bool:
 
 
 def signature(lattice: Lattice) -> Signature:
-    """Inertia: the sign counts of the pivots (Sylvester)."""
-    pivots = _pivots(lattice)
-    return Signature(sum(p > 0 for p in pivots), sum(p < 0 for p in pivots), pivots.count(0))
+    """Inertia: the sign counts of the pivots (Sylvester); see signature_and_determinant."""
+    return signature_and_determinant(lattice)[0]
 
 
 def _builtins() -> dict[str, Lattice]:

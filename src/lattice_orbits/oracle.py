@@ -11,7 +11,9 @@ Enumeration runs single-threaded through the one box walker in enumeration.py,
 which solves the last coordinate when a norm is given; every hit is still
 checked here for primitivity (gcd 1, which also rules out the zero vector) and
 for its norm, recomputed from the Gram matrix by lattices.quadratic rather than
-taken from the walker's solved-coordinate arithmetic.
+taken from the walker's solved-coordinate arithmetic. A scan collects its hit
+coordinates first and builds their vectors in one vectors.vectors_of call; it
+keeps at most MAX_SCAN_HITS of them, so its memory is bounded as its walk is.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress, repeat, starmap, tee
+from operator import eq
 
 from .enumeration import box_range, box_vectors, box_walk, check_counts, definite_vectors
 from .errors import (
@@ -30,9 +34,14 @@ from .errors import (
     ZeroVector,
 )
 from .isometries import MAX_WORD_LENGTH, apply, certify, sample_word
-from .lattices import TWISTED_PLUS_U, Lattice, is_unimodular, quadratic, resolve, signature, split_base
+from .lattices import TWISTED_PLUS_U, Lattice, quadratic, resolve, signature_and_determinant, split_base
 from .orbits import OrbitLabel, classify, representative
-from .vectors import LatticeVector, VectorType, norm, vector_type
+from .vectors import LatticeVector, VectorType, norm, vector_type, vectors_of
+
+# hits kept per box scan, about 24 MB of vectors on U2U: an unfiltered U2U scan
+# fits up to bound 10 (a box of 194,481 tuples, 176,896 hits), while bound 15
+# (855,936 hits) used to peak at 213 MB to print a 15 MB document
+MAX_SCAN_HITS = 2 * 10**5
 
 
 @dataclass(frozen=True)
@@ -82,18 +91,35 @@ def enumerate_primitive(lattice: Lattice, bound: int, norm: int | None = None) -
     each hit's c^T G c is recomputed by lattices.quadratic, the formula
     vectors.norm uses, so a walker that yielded a wrong tuple is caught here;
     the unfiltered scan walks the plain box and filters on gcd alone.
+
+    The hit coordinates are collected first and their vectors built in bulk
+    by vectors_of. At most MAX_SCAN_HITS hits are kept, or LimitExceeded is
+    raised: an unfiltered scan is refused before its walk when the box holds
+    more tuples than that, and a norm-filtered scan once its hits are
+    collected, before any vector is built.
     """
     axes = [box_range(bound)] * lattice.rank
     gcd = math.gcd
     if norm is None:
-        hits = [LatticeVector(lattice, c) for c in box_walk(axes) if gcd(*c) == 1]
+        walk = box_walk(axes)
+        size = math.prod(map(len, axes))
+        if size > MAX_SCAN_HITS:
+            raise LimitExceeded(
+                f"box scans keep at most {MAX_SCAN_HITS} hits, and the box holds {size} tuples"
+            )
+        walk, again = tee(walk)
+        hits = list(compress(walk, map(eq, starmap(gcd, again), repeat(1))))
     else:
         hits = [
-            LatticeVector(lattice, c)
+            c
             for c in box_walk(axes, (lattice.gram, norm))
             if gcd(*c) == 1 and quadratic(lattice, c) == norm
         ]
-    return BoxScan(lattice, bound, norm, tuple(hits))
+        if len(hits) > MAX_SCAN_HITS:
+            raise LimitExceeded(
+                f"box scans keep at most {MAX_SCAN_HITS} hits, and the scan found {len(hits)}"
+            )
+    return BoxScan(lattice, bound, norm, vectors_of(lattice, hits))
 
 
 def random_primitive(lattice: Lattice, rng: random.Random, bound: int) -> LatticeVector:
@@ -252,9 +278,9 @@ def wall_scan(s: int, t: int, bound: int) -> SuiteResult:
     """Every characteristic vector in the box of I_s_t must have norm = s - t mod 8."""
     lattice = resolve(f"I_{s}_{t}")
     # wall_congruence_holds per vector, with its lattice checks done once
-    if not is_unimodular(lattice):
+    sig, det = signature_and_determinant(lattice)
+    if abs(det) != 1:
         raise NotUnimodular(f"{lattice.name} has |det| != 1")
-    sig = signature(lattice)
     checked = 0
     counterexample = None
     for coords in box_vectors(lattice.rank, bound):

@@ -9,8 +9,10 @@ vectors, which keeps the check at rank^2 integer operations.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from .errors import NotCharacteristic, NotUnimodular, RankMismatch, ZeroVector
 from .lattices import (
@@ -18,9 +20,8 @@ from .lattices import (
     Lattice,
     gram_vec,
     inner,
-    is_unimodular,
     quadratic,
-    signature,
+    signature_and_determinant,
     split_base,
 )
 
@@ -32,13 +33,14 @@ class VectorType(Enum):
 
 @dataclass(frozen=True, slots=True)
 class LatticeVector:
-    """Slotted, with one hand-written __init__: box scans build one per hit.
+    """Slotted, with one hand-written __init__; box scans build theirs in bulk.
 
     __init__ checks the rank and writes both fields through their slot
     descriptors' setters, bound once below the class, instead of looking each
-    name up through object.__setattr__. The frozen __setattr__ still refuses
-    every later assignment; replace, pickle and copy go through the
-    dataclass machinery as before.
+    name up through object.__setattr__; `vectors_of` does the same for a whole
+    list of coordinate tuples. The frozen __setattr__ still refuses every
+    later assignment; replace, pickle and copy go through the dataclass
+    machinery as before.
     """
 
     lattice: Lattice
@@ -46,15 +48,35 @@ class LatticeVector:
 
     def __init__(self, lattice: Lattice, coords: tuple[int, ...]):
         if len(coords) != lattice.rank:
-            raise RankMismatch(
-                f"{lattice.name} needs {lattice.rank} coordinates, got {len(coords)}"
-            )
+            raise _rank_mismatch(lattice, coords)
         _set_lattice(self, lattice)
         _set_coords(self, coords)
 
 
 _set_lattice = LatticeVector.lattice.__set__
 _set_coords = LatticeVector.coords.__set__
+
+
+def _rank_mismatch(lattice: Lattice, coords) -> RankMismatch:
+    return RankMismatch(f"{lattice.name} needs {lattice.rank} coordinates, got {len(coords)}")
+
+
+def vectors_of(lattice: Lattice, coords) -> tuple[LatticeVector, ...]:
+    """One LatticeVector per coordinate tuple of the sequence `coords`, in order.
+
+    The vectors equal those LatticeVector(lattice, c) builds, and the first
+    tuple of the wrong length is refused with the same RankMismatch, before
+    any vector is built. The rank is checked in one pass over the lengths;
+    then the instances are allocated and both slots filled by maps that run
+    in C, with no __init__ call per vector.
+    """
+    if set(map(len, coords)) - {lattice.rank}:
+        raise _rank_mismatch(lattice, next(c for c in coords if len(c) != lattice.rank))
+    k = len(coords)
+    out = tuple(map(object.__new__, repeat(LatticeVector, k)))
+    deque(map(_set_lattice, out, repeat(lattice, k)), maxlen=0)
+    deque(map(_set_coords, out, coords), maxlen=0)
+    return out
 
 
 def vec(lattice: Lattice, coords) -> LatticeVector:
@@ -108,9 +130,9 @@ def characteristic_by_parity(v: LatticeVector) -> bool:
 def wall_congruence_holds(v: LatticeVector) -> bool:
     """Wall's congruence: a characteristic vector of a unimodular lattice has
     norm = (s - t) mod 8 for signature (s, t)."""
-    if not is_unimodular(v.lattice):
+    sig, det = signature_and_determinant(v.lattice)
+    if abs(det) != 1:
         raise NotUnimodular(f"{v.lattice.name} has |det| != 1")
     if vector_type(v) is not VectorType.CHARACTERISTIC:
         raise NotCharacteristic("congruence is only claimed for characteristic vectors")
-    sig = signature(v.lattice)
     return (norm(v) - (sig.positive - sig.negative)) % 8 == 0

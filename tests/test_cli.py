@@ -361,6 +361,29 @@ def test_work_caps_are_refused_before_any_work(argv, message, monkeypatch):
     assert doc == {"error": "LimitExceeded", "message": message}
 
 
+@pytest.mark.parametrize(
+    "argv, cap, message",
+    [
+        (["oracle-enumerate", "--lattice", "U2U", "--bound", "15"], None,
+         "box scans keep at most 200000 hits, and the box holds 923521 tuples"),
+        (["oracle-enumerate", "--lattice", "U2U", "--bound", "4", "--norm", "8"], 295,
+         "box scans keep at most 295 hits, and the scan found 296"),
+    ],
+)
+def test_oversized_scans_are_refused_before_any_vector(argv, cap, message, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a vector was built")
+
+    if cap is not None:
+        monkeypatch.setattr(oracle, "MAX_SCAN_HITS", cap)
+    monkeypatch.setattr(oracle, "vectors_of", refuse)
+    code, out, err = run_cli(argv)
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    check_schema(doc, "error.schema.json")
+    assert doc == {"error": "LimitExceeded", "message": message}
+
+
 _U = resolve("U")
 _NOT_TWISTED = "is not a tagged base(2) + U lattice"
 _NOT_I11 = "is not a tagged base + I_1_1 lattice"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -282,3 +283,12 @@ def test_over_budget_searches_are_refused_before_walking():
     ):
         with pytest.raises(BoxTooLarge):
             call()
+    # the budget is read off the axis lengths, before any axis is copied
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoxTooLarge):
+            enumerate_primitive(resolve("U2U"), 10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5

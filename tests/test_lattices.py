@@ -1,4 +1,6 @@
 import ast
+import io
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_orbits import jsonio, lattices, matrix
+from lattice_orbits.cli import run
 from lattice_orbits.dilatation import half_target
 from lattice_orbits.errors import (
     EmptyLattice,
@@ -37,7 +40,7 @@ from lattice_orbits.lattices import (
     twisted_plus_u,
 )
 from lattice_orbits.orbits import OrbitLabel, classify
-from lattice_orbits.vectors import vec
+from lattice_orbits.vectors import vec, wall_congruence_holds
 
 
 def test_u_gram_and_determinant():
@@ -466,6 +469,26 @@ def test_split_proofs_run_one_elimination(monkeypatch):
     assert eliminated == [e8_u.gram]
     assert classify(vec(lminus, (0,) * 10 + (1, 5))).label is OrbitLabel.ODD
     assert classify(vec(resolve("U2U"), (0, 0, 1, 4))).label is OrbitLabel.EVEN_ORDINARY
+
+
+def test_info_and_wall_congruence_run_one_elimination(monkeypatch):
+    # both need the signature and the determinant of a non-diagonal Gram matrix
+    eliminated = []
+    honest_ldl = matrix.ldl
+
+    def counting_ldl(gram):
+        eliminated.append(gram)
+        return honest_ldl(gram)
+
+    monkeypatch.setattr(matrix, "ldl", counting_ldl)
+    out = io.StringIO()
+    assert run(["info", "--lattice", "Lminus"], stdout=out) == 0
+    assert eliminated == [resolve("Lminus").gram]
+    assert json.loads(out.getvalue())["determinant"] == 2**10
+    eliminated.clear()
+    e8_u_i11 = resolve("E8_U_I11")
+    assert wall_congruence_holds(vec(e8_u_i11, (0,) * 10 + (1, 1)))
+    assert eliminated == [e8_u_i11.gram]
 
 
 def test_only_matrix_imports_fractions():

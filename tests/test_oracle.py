@@ -134,6 +134,39 @@ def test_enumerate_pinned_digest(name):
     assert digest.hexdigest() == PINNED_SCAN_DIGESTS[name]
 
 
+class _Unwalked:
+    """A walk that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("the walk started")
+
+
+def _refuse(*args):
+    raise AssertionError("a vector was built")
+
+
+def test_scans_keep_at_most_max_scan_hits(monkeypatch):
+    # U2U bound 10, a box of 21^4 = 194,481 tuples, fits under the real cap
+    assert oracle.MAX_SCAN_HITS == 200_000
+    assert len(enumerate_primitive(U2U, 10).vectors) == 176_896
+    # bound 2 is a box of 625 tuples holding 544 hits, and norm 8 at bound 4
+    # finds 296: each cap at the size itself passes, one below it is refused
+    monkeypatch.setattr(oracle, "MAX_SCAN_HITS", 625)
+    assert len(enumerate_primitive(U2U, 2).vectors) == 544
+    monkeypatch.setattr(oracle, "MAX_SCAN_HITS", 296)
+    assert len(enumerate_primitive(U2U, 4, 8).vectors) == 296
+    monkeypatch.setattr(oracle, "vectors_of", _refuse)
+    monkeypatch.setattr(oracle, "MAX_SCAN_HITS", 295)
+    with pytest.raises(LimitExceeded) as info:
+        enumerate_primitive(U2U, 4, 8)
+    assert str(info.value) == "box scans keep at most 295 hits, and the scan found 296"
+    monkeypatch.setattr(oracle, "MAX_SCAN_HITS", 624)
+    monkeypatch.setattr(oracle, "box_walk", lambda axes, form=None: _Unwalked())
+    with pytest.raises(LimitExceeded) as info:
+        enumerate_primitive(U2U, 2)
+    assert str(info.value) == "box scans keep at most 624 hits, and the box holds 625 tuples"
+
+
 def test_connectivity_and_wall_pinned_digests():
     # suite documents as the CLI prints them, recorded before the walker change
     digest = hashlib.sha256()

@@ -23,6 +23,7 @@ from lattice_orbits.vectors import (
     pair,
     vec,
     vector_type,
+    vectors_of,
     wall_congruence_holds,
 )
 
@@ -184,3 +185,41 @@ def test_lattice_vector_rank_mismatch_text():
     with pytest.raises(RankMismatch) as info:
         vec(resolve("U"), ())
     assert str(info.value) == "U needs 2 coordinates, got 0"
+    # the bulk constructor names the first tuple of the wrong length
+    with pytest.raises(RankMismatch) as info:
+        vectors_of(LMINUS, [(0,) * 12, (1, 2, 3), (1,), (0,) * 13])
+    assert str(info.value) == "Lminus needs 12 coordinates, got 3"
+    with pytest.raises(RankMismatch) as info:
+        vectors_of(resolve("U"), [(1, 0), ()])
+    assert str(info.value) == "U needs 2 coordinates, got 0"
+
+
+def test_vectors_of_builds_what_init_builds():
+    u2u = resolve("U2U")
+    coords = [(1, 0, -1, 2), (0, 0, 0, 0), (3, -4, 5, -6), (1, 0, -1, 2)]
+    bulk = vectors_of(u2u, coords)
+    single = tuple(LatticeVector(u2u, c) for c in coords)
+    assert type(bulk) is tuple and bulk == single
+    assert [hash(v) for v in bulk] == [hash(v) for v in single]
+    assert [repr(v) for v in bulk] == [repr(v) for v in single]
+    assert all(type(v) is LatticeVector and v.lattice is u2u for v in bulk)
+    assert bulk[0] is not bulk[3] and len(set(bulk)) == 3
+    assert vectors_of(u2u, []) == ()
+
+
+def test_vectors_of_gives_frozen_slotted_vectors():
+    u2u = resolve("U2U")
+    (v,) = vectors_of(u2u, [(1, 0, -1, 2)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.coords = (0, 0, 0, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.lattice = resolve("U")
+    with pytest.raises((AttributeError, TypeError)):
+        v.extra = 1
+    assert not hasattr(v, "__dict__") and v.coords == (1, 0, -1, 2)
+    moved = dataclasses.replace(v, coords=(0, 1, 0, 0))
+    assert moved == vec(u2u, (0, 1, 0, 0)) and moved.lattice is u2u
+    with pytest.raises(RankMismatch, match="U2U needs 4 coordinates, got 2"):
+        dataclasses.replace(v, coords=(1, 0))
+    for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+        assert twin == v and hash(twin) == hash(v)
