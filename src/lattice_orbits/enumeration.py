@@ -11,10 +11,21 @@ equation, solved inline by one exact division (every x when L = Q = 0);
 otherwise it is a quadratic with an integer square root and a perfect-square
 check. Every root must still be an allowed value of its axis.
 
+A prefix is a head (every coordinate before the last two) and y. The head
+enters the equation only through three sums, the key (Qh, Lh, cy), so the
+y-loop runs once per distinct key and every later head with that key reuses
+its (y, x) tails. A norm walk costs heads + distinct keys * |y-axis| + hits.
+Its memo is local to the walk and keeps at most one (y, xs) group per head,
+each of which it also yields; "every x" is kept as the axis itself, and a key
+whose groups might not fit is streamed instead, so a lone head (rank 2) keeps
+nothing. Rank 1 solves g*x^2 = norm directly.
+
 Every walk has one budget, WALK_BUDGET tuples: the product of the walked axis
 lengths, leaving out the solved last axis when a norm is given. A larger walk
 is refused with BoxTooLarge before it starts, read off the lengths of the
-axes as given, so a huge bound allocates nothing before its refusal.
+axes as given, so a huge bound allocates nothing before its refusal. A range
+axis is never copied, since it iterates and answers `in` as it is, so a huge
+solved axis allocates nothing either.
 
 The definite engine takes the pivots d and multipliers c of `matrix.ldl`,
 Q(v) = sum_i d_i (v_i + sum_{j>i} c_ij v_j)^2, and scales them by the lcm S
@@ -60,19 +71,29 @@ def box_vectors(rank: int, bound: int):
     return box_walk([box_range(bound)] * rank)
 
 
+def check_budget(axes) -> int:
+    """The number of tuples in the product of the axes; BoxTooLarge past WALK_BUDGET.
+
+    Read off the lengths of the axes as given, so nothing is copied first.
+    """
+    walked = math.prod(map(len, axes))
+    if walked > WALK_BUDGET:
+        raise BoxTooLarge(f"box walk of {walked} tuples exceeds the budget of {WALK_BUDGET}")
+    return walked
+
+
 def box_walk(axes, form=None):
     """Tuples of the product of the per-axis value lists, in lexicographic order.
 
     Each axis is an ascending sequence of distinct integers. With form =
     (gram, norm), only the tuples c with c^T gram c == norm are yielded, and
     the last coordinate is solved instead of walked. A walk of more than
-    WALK_BUDGET tuples raises BoxTooLarge, before any axis is copied.
+    WALK_BUDGET tuples raises BoxTooLarge, before any axis is copied; a range
+    axis is never copied.
     """
     axes = list(axes)
-    walked = math.prod(map(len, axes if form is None else axes[:-1]))
-    if walked > WALK_BUDGET:
-        raise BoxTooLarge(f"box walk of {walked} tuples exceeds the budget of {WALK_BUDGET}")
-    axes = [tuple(axis) for axis in axes]
+    check_budget(axes if form is None else axes[:-1])
+    axes = [axis if isinstance(axis, range) else tuple(axis) for axis in axes]
     if form is None:
         return product(*axes)
     gram, value = form
@@ -82,10 +103,13 @@ def box_walk(axes, form=None):
 def _norm_walk(axes, gram, value):
     *prefix, allowed = axes
     last = len(prefix)
-    members = frozenset(allowed)
+    members = allowed if isinstance(allowed, range) else frozenset(allowed)
     g = gram[last][last]
-    if last == 0:  # rank 1: g*x^2 = value
-        yield from ((x,) for x in allowed if g * x * x == value)
+    if last == 0:  # rank 1: g*x^2 = value, every x when g = value = 0
+        if g:
+            yield from ((x,) for x in _integer_roots(g, 0, -value) if x in members)
+        elif value == 0:
+            yield from ((x,) for x in allowed)
         return
     # the prefix is (head, y), y on axis pen: Q = Qh + (cy + gyy*y)*y and
     # L = Lh + ly*y, where Qh, Lh and cy are sparse sums over the head
@@ -95,24 +119,40 @@ def _norm_walk(axes, gram, value):
     quad = [(i, j, g if i == j else 2 * g) for i in range(pen) for j, g in rows[i] if i <= j < pen]
     cross = [(i, 2 * g) for i, g in rows[pen] if i < pen]
     lin = [(i, 2 * g) for i, g in rows[last] if i < pen]
-    for head in product(*prefix[:-1]):
-        qh = sum(c * head[i] * head[j] for i, j, c in quad) - value
-        lh = sum(c * head[i] for i, c in lin)
-        cy = sum(c * head[i] for i, c in cross)
-        if g:
-            for y in prefix[-1]:
-                for x in _integer_roots(g, lh + ly * y, qh + (cy + gyy * y) * y):
-                    if x in members:
-                        yield (*head, y, x)
-            continue
-        for y in prefix[-1]:  # L*x + Q = 0
+    ys = prefix[-1]
+
+    def tails(qh, lh, cy):
+        """(y, xs) for each y with a root x; xs is the last axis itself when every x is one."""
+        for y in ys:
             b, c = lh + ly * y, qh + (cy + gyy * y) * y
-            if b:
-                if c % b == 0 and (x := -c // b) in members:
-                    yield (*head, y, x)
-            elif c == 0:
-                for x in allowed:
-                    yield (*head, y, x)
+            if g:
+                xs = [x for x in _integer_roots(g, b, c) if x in members]
+            elif b:  # L*x + Q = 0
+                xs = (x,) if c % b == 0 and (x := -c // b) in members else ()
+            else:
+                xs = allowed if c == 0 else ()
+            if xs:
+                yield y, xs
+
+    # one y-loop per distinct key; the memo keeps at most one (y, xs) per
+    # head, and a key whose groups might not fit in that room is streamed
+    memo = {}
+    room = math.prod(map(len, prefix[:-1]))
+    for head in product(*prefix[:-1]):
+        key = (
+            sum(c * head[i] * head[j] for i, j, c in quad) - value,
+            sum(c * head[i] for i, c in lin),
+            sum(c * head[i] for i, c in cross),
+        )
+        found = memo.get(key)
+        if found is None:
+            found = tails(*key)
+            if len(ys) <= room:
+                found = memo[key] = list(found)
+                room -= len(found)
+        for y, xs in found:
+            for x in xs:
+                yield (*head, y, x)
 
 
 def _integer_roots(a: int, b: int, c: int):

@@ -11,9 +11,13 @@ Enumeration runs single-threaded through the one box walker in enumeration.py,
 which solves the last coordinate when a norm is given; every hit is still
 checked here for primitivity (gcd 1, which also rules out the zero vector) and
 for its norm, recomputed from the Gram matrix by lattices.quadratic rather than
-taken from the walker's solved-coordinate arithmetic. A scan collects its hit
-coordinates first and builds their vectors in one vectors.vectors_of call; it
-keeps at most MAX_SCAN_HITS of them, so its memory is bounded as its walk is.
+taken from the walker's solved-coordinate arithmetic. The unfiltered scan walks
+only the heads (every coordinate but the last two) and extends each with the
+(y, x) tails coprime to the head's gcd, found once per distinct gcd. A scan
+collects its hit coordinates first and builds their vectors in one
+vectors.vectors_of call; it keeps at most MAX_SCAN_HITS of them, and each
+memo holds no tail it does not also yield, so its memory is bounded as its
+walk is.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import compress, repeat, starmap, tee
-from operator import eq
+from itertools import product
 
-from .enumeration import box_range, box_vectors, box_walk, check_counts, definite_vectors
+from .enumeration import box_range, box_vectors, box_walk, check_budget, check_counts, definite_vectors
 from .errors import (
     LabelParityMismatch,
     LatticeShapeMismatch,
@@ -89,8 +92,11 @@ def enumerate_primitive(lattice: Lattice, bound: int, norm: int | None = None) -
     Output order is lexicographic over the box and therefore deterministic.
     A hit has gcd 1, which the zero vector (gcd 0) never has. With a norm,
     each hit's c^T G c is recomputed by lattices.quadratic, the formula
-    vectors.norm uses, so a walker that yielded a wrong tuple is caught here;
-    the unfiltered scan walks the plain box and filters on gcd alone.
+    vectors.norm uses, so a walker that yielded a wrong tuple is caught here.
+    The unfiltered scan filters on gcd alone: c is primitive exactly when
+    gcd(gcd(head), y, x) == 1, so it walks the heads and reuses the coprime
+    tails of each distinct head gcd, at a cost of heads + distinct gcds *
+    |tails| + hits instead of one gcd per tuple of the box.
 
     The hit coordinates are collected first and their vectors built in bulk
     by vectors_of. At most MAX_SCAN_HITS hits are kept, or LimitExceeded is
@@ -101,14 +107,19 @@ def enumerate_primitive(lattice: Lattice, bound: int, norm: int | None = None) -
     axes = [box_range(bound)] * lattice.rank
     gcd = math.gcd
     if norm is None:
-        walk = box_walk(axes)
-        size = math.prod(map(len, axes))
+        size = check_budget(axes)
         if size > MAX_SCAN_HITS:
             raise LimitExceeded(
                 f"box scans keep at most {MAX_SCAN_HITS} hits, and the box holds {size} tuples"
             )
-        walk, again = tee(walk)
-        hits = list(compress(walk, map(eq, starmap(gcd, again), repeat(1))))
+        coprime = {}  # the tails coprime to each distinct gcd of a head
+        hits = []
+        for head in box_walk(axes[:-2]):
+            h = gcd(*head)
+            tails = coprime.get(h)
+            if tails is None:
+                tails = coprime[h] = [t for t in product(*axes[-2:]) if gcd(h, *t) == 1]
+            hits += map(head.__add__, tails)
     else:
         hits = [
             c

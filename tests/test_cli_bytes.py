@@ -8,6 +8,7 @@ The documents, pretty, help and errors digests were re-recorded when the
 witness command lost its --bound option and its documents their "bound" key;
 nothing else in those groups changed. The word_bounds group was recorded
 when isometry words got their length cap; no earlier group changed with it.
+The scans group was recorded before box scans reused solved tails per head.
 Help texts are rendered at a fixed terminal width; argparse's help layout also
 varies across Python minor versions, and these digests were recorded on 3.11.
 """
@@ -134,6 +135,18 @@ WORD_BOUNDS = [
     ["oracle-connectivity", "--norm", "2", "--word-length", "10001"],
 ]
 
+# box scans on every walker path: unfiltered (bound 10 is the largest box
+# under the hit cap), norm-solved on U2U, I_2_1 and Lminus, and U's "every x"
+# at norm 0
+SCANS = [
+    ["oracle-enumerate", "--lattice", "U2U", "--bound", "4"],
+    ["oracle-enumerate", "--lattice", "U2U", "--bound", "10"],
+    ["oracle-enumerate", "--lattice", "U2U", "--bound", "6", "--norm", "8"],
+    ["oracle-enumerate", "--lattice", "I_2_1", "--bound", "4", "--norm", "-1"],
+    ["oracle-enumerate", "--lattice", "U", "--bound", "50", "--norm", "0"],
+    ["oracle-enumerate", "--lattice", "Lminus", "--bound", "1", "--norm", "4"],
+]
+
 # run with every suite made to report a violation (exit 3), see _break_suites
 FAILURES = [
     ["oracle-invariance", "--lattice", "U2U", "--samples", "20", "--seed", "7"],
@@ -151,6 +164,7 @@ PINNED = {
     "failures": "d5b6f682b8c2ec794f089b14d887f3065812ec4c31c3470f17a16cd89b07fb52",
     "bounds": "606c3b86868db5cd8062a029d7f03f3944c2fc8fcb2dd479ff8ae5bea773d514",
     "word_bounds": "e72f5184f242057775d1d303c6dfced603e0accf7fd28f1b380a29de10eb2b87",
+    "scans": "6686991375ec5ba27066b0e60b251d72a1d87d4568be129927aaa7040936a39a",
 }
 
 
@@ -176,7 +190,7 @@ def _break_suites(monkeypatch):
 @pytest.mark.parametrize(
     "group, cases",
     [("documents", DOCUMENTS), ("pretty", PRETTY), ("help", HELP), ("errors", ERRORS),
-     ("failures", FAILURES), ("bounds", BOUNDS), ("word_bounds", WORD_BOUNDS)],
+     ("failures", FAILURES), ("bounds", BOUNDS), ("word_bounds", WORD_BOUNDS), ("scans", SCANS)],
 )
 def test_cli_bytes_pinned(group, cases, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width

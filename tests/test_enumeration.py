@@ -74,9 +74,13 @@ def _axis(draw):
     return [x for x in window if (x - residue) % 2 == 0]
 
 
+# head axes of ranks 5 and 6: few values, symmetric or a single one
+_HEAD_AXES = (range(-1, 2), (-1, 1), (0,), (-2, 0, 2), range(0, 2))
+
+
 @st.composite
 def _walk_case(draw):
-    rank = draw(st.integers(1, 4))
+    rank = draw(st.integers(1, 6))
     entry = st.integers(-3, 3)
     gram = [[0] * rank for _ in range(rank)]
     for i in range(rank):
@@ -87,16 +91,78 @@ def _walk_case(draw):
     if draw(st.booleans()):  # last coordinate decoupled from the rest: L = 0
         for i in range(last):
             gram[i][last] = gram[last][i] = 0
-    axes = [draw(_axis()) for _ in range(rank)]
+    if rank < 5:
+        return [draw(_axis()) for _ in range(rank)], gram, draw(st.integers(-12, 12))
+    # the head (all but the last two coordinates) enters the walk only through
+    # its key (Qh, Lh, cy): a head coordinate with no Gram entries, or sign-
+    # symmetric head axes with the head uncoupled from y and x, repeat keys
+    head = rank - 2
+    for i in draw(st.sets(st.integers(0, head - 1), min_size=1, max_size=head)):
+        for j in range(rank):
+            gram[i][j] = gram[j][i] = 0
+    if draw(st.booleans()):
+        for i in range(head):
+            for j in (head, last):
+                gram[i][j] = gram[j][i] = 0
+    axes = [draw(st.sampled_from(_HEAD_AXES)) for _ in range(head)] + [draw(_axis()), draw(_axis())]
     return axes, gram, draw(st.integers(-12, 12))
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(derandomize=True, max_examples=500, deadline=None)
 @given(_walk_case())
 def test_box_walk_solves_the_norm_exactly(case):
     axes, gram, value = case
     assert list(box_walk(axes, (gram, value))) == _filtered_product(axes, gram, value)
     assert list(box_walk(axes)) == list(product(*axes))
+
+
+@pytest.mark.parametrize(
+    "gram, axes",
+    [
+        # 6 heads and 3 keys (Qh = h0^2): the key with Qh = value has "every x"
+        # at all 5 values of y, which leaves no room for another such key
+        ([[1, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4], [(0, 1, 2), (0, 1), range(-2, 3), range(-2, 3)]),
+        # 9 heads and 3 keys (Qh = h0^2 + h1^2): at Qh = value every y has a group
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], [range(-1, 2)] * 2 + [range(-3, 4)] * 2),
+        # a lone head on a long y axis: nothing fits, every group is streamed
+        ([[1, 0, 1], [0, 0, 1], [1, 1, 1]], [(1,), range(-9, 10), range(-9, 10)]),
+    ],
+)
+def test_norm_walk_reuses_and_streams_tails(gram, axes):
+    for value in (-2, 0, 1, 2, 4):
+        assert list(box_walk(axes, (gram, value))) == _filtered_product(axes, gram, value)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_unfiltered_scan_is_the_gcd_filtered_box(rank):
+    # rank 2 has an empty head, and rank 1 no y axis either
+    lattice = resolve(f"I_{rank}_0")
+    for bound in range(4 if rank < 5 else 3):
+        axes = [range(-bound, bound + 1)] * rank
+        want = [c for c in product(*axes) if math.gcd(*c) == 1]
+        assert [v.coords for v in enumerate_primitive(lattice, bound).vectors] == want
+
+
+@pytest.mark.parametrize(
+    "name, bound, value",
+    [
+        ("I_1_0", 10**6, 1),  # rank 1: g*x^2 = value is solved, not walked
+        ("U", 2 * 10**4, 2),  # rank 2: the solved last axis is a range, not a copy
+        ("U", 2 * 10**4, 0),  # rank 2 with "every x" at y = 0, kept lazy
+    ],
+)
+def test_norm_scans_hold_no_copy_of_the_solved_axis(name, bound, value):
+    # the solved axis lies outside the walk budget, so a norm scan must not
+    # copy it: its traced peak may not grow with the bound
+    lattice = resolve(name)
+    tracemalloc.start()
+    try:
+        scan = enumerate_primitive(lattice, bound, value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2 <= len(scan.vectors) <= 4
+    assert peak < 10**5
 
 
 @pytest.mark.parametrize(

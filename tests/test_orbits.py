@@ -22,6 +22,7 @@ from lattice_orbits.errors import (
     ZeroVector,
 )
 from lattice_orbits import orbits
+from lattice_orbits.isometries import apply, sample_word
 from lattice_orbits.lattices import inner, resolve
 from lattice_orbits.orbits import (
     HEEGNER_MAX_RANGE,
@@ -282,6 +283,23 @@ def test_witness_closed_form_against_the_definition(case):
     _witness_sound(v, result)
     for bound in (1, 2):
         assert _box_witness(c, bound) == (None, False) or result.witness is not None
+
+
+@st.composite
+def _labelled_vectors(draw):
+    lattice = resolve(draw(st.sampled_from(("Lminus", "U2U"))))
+    coords = draw(st.lists(st.integers(-20, 20), min_size=lattice.rank, max_size=lattice.rank)
+                  .filter(lambda c: math.gcd(*c) == 1))
+    return vec(lattice, coords)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_labelled_vectors(), st.integers(0, 2**32 - 1), st.integers(0, 16))
+def test_labels_survive_sampled_words(v, seed, length):
+    # the orbit label is an invariant: a certified word never changes it
+    w = apply(sample_word(v.lattice, seed, length), v)
+    assert norm(w) == norm(v)
+    assert classify(w).label is classify(v).label
 
 
 def _witness_inputs():
