@@ -9,7 +9,9 @@ unimodular hyperbolic block at 10..11.
 Lattices built by `twisted_plus_u` / `base_plus_i11` carry a shape tag recording
 the even unimodular base of the leading block; the dilatation and orbit modules
 only accept tagged lattices, because their coordinate formulas depend on that
-split. `split_base` is the one check of a tag.
+split. `split_base` is the one check of a tag. A base(2) + U tag also carries
+its half target base + I_1_1, built and proved once with the tag, so the
+built-in "E8_U_I11" and "U_I11" are the images carried by Lminus and U2U.
 
 The fixed built-ins are plain values made once at import; `resolve` hands them
 out and builds I_s_t lattices on each call, and `is_builtin` is the one test of
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import matrix
 from .errors import (
@@ -47,10 +49,16 @@ BASE_PLUS_I11 = "base_plus_i11"
 
 @dataclass(frozen=True)
 class SplitShape:
-    """Structural tag: leading block is `base` (twisted or not), trailing block rank 2."""
+    """Structural tag: leading block is `base` (twisted or not), trailing block rank 2.
+
+    A base(2) + U tag from `twisted_plus_u` also carries `image`, the base +
+    I_1_1 lattice its dilatations land in, built once with the tag. Equality,
+    hashing and repr ignore it; a tag made by hand has none.
+    """
 
     kind: str
     base: "Lattice"
+    image: "Lattice | None" = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -177,8 +185,8 @@ def _check_split_base(base: Lattice):
     pivots = _pivots(base)
     if abs(math.prod(pivots)) != 1:
         raise LatticeShapeMismatch(f"base {base.name} is not unimodular")
-    # even and unimodular already force this (van der Blij); dropping the check
-    # waits for a benchmark recorder that does not grow with throughput (ROADMAP item 1)
+    # even and unimodular already force this (van der Blij); the property test
+    # test_even_unimodular_forms_have_signature_zero_mod_8 is its oracle
     if (sum(p > 0 for p in pivots) - sum(p < 0 for p in pivots)) % 8 != 0:
         raise LatticeShapeMismatch(f"base {base.name} signature difference not 0 mod 8")
 
@@ -195,10 +203,13 @@ def split_base(lattice: Lattice, kind: str) -> Lattice:
 
 
 def twisted_plus_u(base: Lattice, name: str) -> Lattice:
-    """base(2) + U with a shape tag; the orbit classifier works on these."""
-    _check_split_base(base)
+    """base(2) + U with a shape tag; the orbit classifier works on these.
+
+    Building the tag's half target, "<base>_I11", is the one proof of the base.
+    """
+    image = base_plus_i11(base, name=f"{base.name}_I11")
     body = direct_sum(twist(base, 2, name=f"{base.name}(2)"), make_u())
-    return Lattice(name, body.rank, body.gram, SplitShape(TWISTED_PLUS_U, base))
+    return Lattice(name, body.rank, body.gram, SplitShape(TWISTED_PLUS_U, base, image))
 
 
 def base_plus_i11(base: Lattice, name: str) -> Lattice:
@@ -285,18 +296,20 @@ def _builtins() -> dict[str, Lattice]:
     body = direct_sum(e8, e8)
     for _ in range(3):
         body = direct_sum(body, u)
+    # each split base is proved once; the half targets are the tags' own images
+    lminus, u2u = twisted_plus_u(e8_u, name="Lminus"), twisted_plus_u(u, name="U2U")
     return {
         "U": u,
         "U2": u2,
         "E8": e8,
         "E8_2": e8_2,
-        "Lminus": twisted_plus_u(e8_u, name="Lminus"),
+        "Lminus": lminus,
         "Lambda": Lattice("Lambda", body.rank, body.gram),
         "B_U": u,  # alias: the hyperbolic plane in its role as a rank-2 base
-        "U2U": twisted_plus_u(u, name="U2U"),
+        "U2U": u2u,
         "Lplus": direct_sum(e8_2, u2, name="Lplus"),
-        "U_I11": base_plus_i11(u, name="U_I11"),
-        "E8_U_I11": base_plus_i11(e8_u, name="E8_U_I11"),
+        "U_I11": u2u.shape.image,
+        "E8_U_I11": lminus.shape.image,
     }
 
 

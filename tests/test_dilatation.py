@@ -19,7 +19,19 @@ from lattice_orbits.dilatation import (
     is_integral,
 )
 from lattice_orbits.errors import LatticeShapeMismatch, NotInHalfLattice, RankMismatch
-from lattice_orbits.lattices import direct_sum, make_e8, make_u, resolve, twisted_plus_u
+from lattice_orbits.lattices import (
+    TWISTED_PLUS_U,
+    Lattice,
+    SplitShape,
+    direct_sum,
+    make_e8,
+    make_i,
+    make_u,
+    resolve,
+    twist,
+    twisted_plus_u,
+)
+from lattice_orbits.orbits import OrbitLabel, classify
 from lattice_orbits.vectors import (
     VectorType,
     characteristic_by_parity,
@@ -118,6 +130,38 @@ def test_known_domains_are_the_built_in_half_targets():
     # dilate_inverse trusts this pairing without rebuilding the target
     assert half_target(LMINUS) == resolve("E8_U_I11")
     assert half_target(U2U) == resolve("U_I11")
+    # the built-in targets are the images the domains' tags carry, not copies
+    assert half_target(LMINUS) is resolve("E8_U_I11")
+    assert half_target(U2U) is resolve("U_I11")
+
+
+def _hand_tagged(base):
+    """base(2) + U tagged by hand: the tag carries no half target."""
+    body = direct_sum(twist(base, 2), make_u())
+    return Lattice("Hand", body.rank, body.gram, SplitShape(TWISTED_PLUS_U, base))
+
+
+@pytest.mark.parametrize(
+    "base, message",
+    [(make_i(1, 1), r"^base I_1_1 is not even$"), (twist(make_u(), 2), r"^base U\(2\) is not unimodular$")],
+)
+def test_hand_made_tags_over_bad_bases_still_fail(base, message):
+    v = vec(_hand_tagged(base), (0,) * base.rank + (1, 3))
+    for call in (classify, dilate):
+        with pytest.raises(LatticeShapeMismatch, match=message):
+            call(v)
+
+
+def test_hand_made_tags_over_good_bases_still_classify():
+    # the target is built for the call, so it equals the built-in but is not it
+    e8_u = direct_sum(make_e8(), make_u(), name="E8_U")
+    for base, target in ((make_u(), resolve("U_I11")), (e8_u, resolve("E8_U_I11"))):
+        lattice = _hand_tagged(base)
+        assert lattice.shape.image is None
+        assert half_target(lattice) == target and half_target(lattice) is not target
+        assert classify(vec(lattice, (0,) * base.rank + (1, 3))).label is OrbitLabel.ODD
+        assert classify(vec(lattice, (0,) * base.rank + (2, 1))).label is OrbitLabel.EVEN_ORDINARY
+        assert dilate(vec(lattice, (0,) * base.rank + (1, 3))).base == target
 
 
 def test_inverse_does_not_depend_on_earlier_dilations(package_env):

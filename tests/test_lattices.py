@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import json
 import random
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_orbits import jsonio, lattices, matrix
+from lattice_orbits import dilatation, jsonio, lattices, matrix
 from lattice_orbits.cli import run
-from lattice_orbits.dilatation import half_target
+from lattice_orbits.dilatation import dilate, half_target
 from lattice_orbits.errors import (
     EmptyLattice,
     LatticeShapeMismatch,
@@ -39,7 +40,7 @@ from lattice_orbits.lattices import (
     twist,
     twisted_plus_u,
 )
-from lattice_orbits.orbits import OrbitLabel, classify
+from lattice_orbits.orbits import OrbitLabel, classify, is_even_type
 from lattice_orbits.vectors import vec, wall_congruence_holds
 
 
@@ -441,7 +442,10 @@ def test_even_unimodular_forms_have_signature_zero_mod_8(case):
     sig = signature(lattice)
     assert sig == expected and (sig.positive - sig.negative) % 8 == 0
     assert is_even(lattice) and abs(determinant(lattice)) == 1
-    assert twisted_plus_u(lattice, name="T").shape.base == lattice
+    tagged = twisted_plus_u(lattice, name="T")
+    assert tagged.shape.base == lattice
+    # the tag carries the half target, equal to the one built on its own
+    assert tagged.shape.image == base_plus_i11(lattice, name=f"{lattice.name}_I11")
 
 
 def test_split_proofs_run_one_elimination(monkeypatch):
@@ -463,12 +467,26 @@ def test_split_proofs_run_one_elimination(monkeypatch):
         eliminated.clear()
         assert build(e8_u, name="T").shape.base == e8_u
         assert eliminated == [e8_u.gram]
+    # the built-ins prove each split base once: Lminus's E8 + U, then U2U's U
+    eliminated.clear()
+    lattices._builtins()
+    assert eliminated == [e8_u.gram, make_u().gram]
     lminus = resolve("Lminus")
     eliminated.clear()
-    assert half_target(lminus) == resolve("E8_U_I11")
+    assert half_target(lminus) is resolve("E8_U_I11")
     assert eliminated == [e8_u.gram]
     assert classify(vec(lminus, (0,) * 10 + (1, 5))).label is OrbitLabel.ODD
     assert classify(vec(resolve("U2U"), (0, 0, 1, 4))).label is OrbitLabel.EVEN_ORDINARY
+
+    # no half target is rebuilt per call; dilatation imports the constructor by name
+    def refuse_build(base, name):
+        raise AssertionError("base_plus_i11 was called")
+
+    monkeypatch.setattr(dilatation, "base_plus_i11", refuse_build)
+    for v in (vec(lminus, (0,) * 8 + (1, 1, 0, 0)), vec(resolve("U2U"), (0, 0, 2, 1))):
+        classify(v)
+        dilate(v)
+        is_even_type(v)
 
 
 def test_info_and_wall_congruence_run_one_elimination(monkeypatch):
@@ -513,6 +531,18 @@ def test_shape_tags():
     target = resolve("U_I11")
     assert target.shape is not None and target.shape.base == make_u()
     assert resolve("Lminus").shape.base.name == "E8_U"
+    # the tag carries its half target, but equality, hashing and repr read
+    # only the kind and the base
+    bare = lattices.SplitShape(lattices.TWISTED_PLUS_U, make_u())
+    assert u2u.shape.image is resolve("U_I11") and bare.image is None
+    assert u2u.shape == bare and hash(u2u.shape) == hash(bare) and repr(u2u.shape) == repr(bare)
+    assert Lattice("U2U", 4, u2u.gram, bare) == u2u
+    # the repr of a Lminus vector shows no image; the digest pins it byte for byte
+    text = repr(vec(resolve("Lminus"), (0,) * 10 + (1, 5)))
+    assert "I11" not in text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "44d2349407a413e1e202f8de622c7a28849d691862a553f812edcdd8fa6359a1"
+    )
 
 
 def test_split_constructors_reject_bad_bases():
