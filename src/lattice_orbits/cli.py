@@ -16,7 +16,7 @@ import sys
 
 from . import jsonio
 from .dilatation import dilate, dilate_inverse
-from .errors import LatticeError
+from .errors import LatticeError, LimitExceeded
 from .lattices import builtin_names, is_even, resolve, signature_and_determinant
 from .matrix import is_int
 from .orbits import (
@@ -354,7 +354,15 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
     try:
         with contextlib.redirect_stdout(stdout):  # argparse prints --help to sys.stdout
             args = build_parser().parse_args(argv)
-        doc, code = _HANDLERS[args.command](args, stdin)
+        try:
+            doc, code = _HANDLERS[args.command](args, stdin)
+            text = "\n".join(_render_pretty(doc)) if args.pretty else json.dumps(doc)
+        except ValueError as exc:  # str(int) past sys.get_int_max_str_digits(), in a result or a message
+            if "integer string conversion" not in str(exc):
+                raise
+            raise LimitExceeded(
+                f"the output would hold an integer of more than {sys.get_int_max_str_digits()} digits"
+            ) from None
     except _HelpShown:
         return 0
     except _UsageError as exc:
@@ -364,10 +372,7 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
         error_doc = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error_doc), file=stdout)
         return 2
-    if getattr(args, "pretty", False):
-        print("\n".join(_render_pretty(doc)), file=stdout)
-    else:
-        print(json.dumps(doc), file=stdout)
+    print(text, file=stdout)
     return code
 
 

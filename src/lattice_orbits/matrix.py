@@ -76,6 +76,9 @@ def det(m: IntMatrix) -> int:
 def ldl(gram: IntMatrix) -> tuple[list[Fraction], list[list[tuple[int, Fraction]]]]:
     """The one symmetric (LDL^T) elimination, over the rationals: pivots d, multipliers c.
 
+    Entries stay ints until an elimination step touches them: each pivot
+    becomes a Fraction once, so the multipliers it divides and the entries a
+    step rewrites come out as Fractions, and so does every d[k] and c_kj.
     c[k] holds the nonzero (j, c_kj), j > k. With no zero diagonal on the way,
     as for every definite form, Q(v) = sum_k d[k] (v_k + sum_j c_kj v_j)^2. A
     zero diagonal is first swapped with a later nonzero one, else row and
@@ -84,7 +87,7 @@ def ldl(gram: IntMatrix) -> tuple[list[Fraction], list[list[tuple[int, Fraction]
     counting the radical. A step touches only its pivot row's nonzero entries.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
+    a = [list(row) for row in gram]
     d, c = [], []
     for k in range(n):
         if a[k][k] == 0:
@@ -102,7 +105,7 @@ def ldl(gram: IntMatrix) -> tuple[list[Fraction], list[list[tuple[int, Fraction]
                     for row in a:
                         row[k] += row[j]
         row = a[k]
-        p = row[k]
+        p = Fraction(row[k])
         d.append(p)
         # a zero pivot left here has a zero row: a radical vector, nothing to eliminate
         nonzero = [(j, row[j]) for j in range(k + 1, n) if row[j]]

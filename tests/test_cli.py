@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from lattice_orbits import lattices, oracle, orbits
+from lattice_orbits import cli, lattices, oracle, orbits
 from lattice_orbits.cli import run
 from lattice_orbits.dilatation import HalfVector, half_target
 from lattice_orbits.errors import LatticeShapeMismatch
@@ -359,6 +359,47 @@ def test_work_caps_are_refused_before_any_work(argv, message, monkeypatch):
     doc = json.loads(out)
     check_schema(doc, "error.schema.json")
     assert doc == {"error": "LimitExceeded", "message": message}
+
+
+_NINES = "9" * 3000  # its square, the norm, has 6000 digits
+_N_MAX = "9" * 4300  # parses, but the norm 2n has 4301 digits
+_PAST_DIGIT_LIMIT = {
+    "error": "LimitExceeded",
+    "message": "the output would hold an integer of more than 4300 digits",
+}
+_HUGE_OUTPUTS = [
+    ["classify", f"--coords={_NINES},0,0,0,0,0,0,0,0,0,0,1"],
+    ["--pretty", "classify", f"--coords={_NINES},0,0,0,0,0,0,0,0,0,0,1"],
+    ["even-type", f"--coords={_NINES},0,0,0,0,0,0,0,0,0,2,0"],
+    ["heegner", "--from", _N_MAX, "--to", _N_MAX],
+    ["rep", "--n", _N_MAX, "--class", "ordinary"],  # the norm is in the refusal's message
+]
+
+
+@pytest.mark.parametrize("argv", _HUGE_OUTPUTS, ids=["classify", "pretty", "even-type", "heegner", "rep"])
+def test_integers_past_the_digit_limit_are_domain_errors(argv):
+    assert sys.get_int_max_str_digits() == 4300  # the limit stays; it also guards parsing
+    code, out, err = run_cli(argv)
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    check_schema(doc, "error.schema.json")
+    assert doc == _PAST_DIGIT_LIMIT
+
+
+def test_integers_past_the_digit_limit_end_without_a_traceback(package_env):
+    proc = run_module(_HUGE_OUTPUTS[0], package_env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == _PAST_DIGIT_LIMIT
+
+
+def test_other_value_errors_still_propagate(monkeypatch):
+    def broken(args, stdin):
+        raise ValueError("a programming error")
+
+    monkeypatch.setitem(cli._HANDLERS, "info", broken)
+    with pytest.raises(ValueError, match="a programming error"):
+        run_cli(["info", "--lattice", "U"])
 
 
 @pytest.mark.parametrize(

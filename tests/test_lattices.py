@@ -340,6 +340,84 @@ def _dense_inertia(gram) -> Signature:
     return Signature(pos, neg, zero)
 
 
+def _dense_ldl(gram):
+    """Reference LDL^T: the library's elimination with every entry made a Fraction up front.
+
+    Kept here as the oracle for `matrix.ldl`, which converts only what it divides or rewrites.
+    """
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    d, c = [], []
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((t for t in range(k + 1, n) if a[t][t] != 0), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((t for t in range(k + 1, n) if a[k][t] != 0), None)
+                if j is not None:
+                    for t in range(n):
+                        a[k][t] += a[j][t]
+                    for row in a:
+                        row[k] += row[j]
+        row = a[k]
+        p = row[k]
+        d.append(p)
+        nonzero = [(j, row[j]) for j in range(k + 1, n) if row[j]]
+        multipliers = [(j, x / p) for j, x in nonzero]
+        c.append(multipliers)
+        for s, (i, x) in enumerate(nonzero):
+            ai = a[i]
+            for j, m in multipliers[s:]:
+                ai[j] = a[j][i] = ai[j] - x * m
+    return d, c
+
+
+@st.composite
+def _symmetric_gram(draw):
+    """A symmetric integer matrix of rank 1..8, entries -3..3, drawn to reach every branch of ldl."""
+    n = draw(st.integers(1, 8))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-3, 3))
+    for k in draw(st.sets(st.integers(0, n - 1))):  # zero diagonals, swapped with a later one
+        rows[k][k] = 0
+    if n > 1 and draw(st.booleans()):
+        # a both-zero hyperbolic pair with no nonzero diagonal after it: the row-and-column fix-up
+        k = draw(st.integers(0, n - 2))
+        j = draw(st.integers(k + 1, n - 1))
+        for t in range(k, n):
+            rows[t][t] = 0
+        rows[k][j] = rows[j][k] = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    for k in draw(st.sets(st.integers(0, n - 1), max_size=2)):  # radical rows
+        rows[k] = [0] * n
+        for row in rows:
+            row[k] = 0
+    return matrix.freeze(rows)
+
+
+def _assert_ldl_is_the_dense_elimination(gram):
+    d, c = matrix.ldl(gram)
+    assert (d, c) == _dense_ldl(gram)
+    # equal is not enough: an int pivot or a float multiplier also compares equal
+    assert all(type(p) is Fraction for p in d)
+    assert all(type(m) is Fraction for row in c for _, m in row)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_symmetric_gram())
+def test_ldl_matches_the_dense_fraction_elimination(gram):
+    _assert_ldl_is_the_dense_elimination(gram)
+
+
+@pytest.mark.parametrize("name", [*builtin_names()[:-1], "I_3_2", "I_0_1"])
+def test_ldl_of_every_builtin_matches_the_dense_fraction_elimination(name):
+    _assert_ldl_is_the_dense_elimination(resolve(name).gram)
+
+
 def test_diagonal_determinant_and_signature_match_general_paths():
     rng = random.Random(6)
     lattices_seen = [make_i(s, t) for s in range(4) for t in range(4) if s + t]
