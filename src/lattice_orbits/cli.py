@@ -279,7 +279,7 @@ def _cmd_oracle_connectivity(args, stdin):
     report = oracle.connectivity_experiment(
         resolve(args.lattice), args.norm, args.bound, args.seed, args.walks, args.word_length
     )
-    return _suite(oracle.connectivity_to_suite(report, args.seed, args.walks, args.word_length))
+    return _suite(oracle.connectivity_to_suite(report))
 
 
 def _cmd_oracle_wall(args, stdin):

@@ -29,9 +29,8 @@ from .lattices import (
     Lattice,
     _check_split_base,
     base_plus_i11,
+    builtin_domain,
     inner,
-    is_builtin,
-    resolve,
     split_base,
 )
 from .vectors import LatticeVector
@@ -52,10 +51,6 @@ class HalfVector:
             raise NotInHalfLattice("leading coordinates must be integral")
         if (self.doubled_coords[r] - self.doubled_coords[r + 1]) % 2 != 0:
             raise NotInHalfLattice("trailing half-coordinates must share a parity")
-
-
-# built-in image lattice -> the built-in domain whose half_target it is
-_KNOWN_DOMAINS = {"E8_U_I11": "Lminus", "U_I11": "U2U"}
 
 
 def half_target(domain: Lattice) -> Lattice:
@@ -86,13 +81,13 @@ def dilate(v: LatticeVector) -> HalfVector:
 def dilate_inverse(h: HalfVector) -> LatticeVector:
     """Invert the map; only built-in images have a domain: E8_U_I11 -> Lminus, U_I11 -> U2U.
 
-    The domain depends on the image lattice alone, never on what was dilated
-    before, so an image of a custom copy of U2U still maps back into U2U.
+    The domain is the built-in whose tag carries h.base (`builtin_domain`), so
+    it depends on the image lattice alone, never on what was dilated before:
+    an image of a custom copy of U2U still maps back into U2U.
     """
-    name = _KNOWN_DOMAINS.get(h.base.name)
-    if name is None or not is_builtin(h.base):
+    domain = builtin_domain(h.base)
+    if domain is None:
         raise LatticeShapeMismatch(f"no known dilatation domain for {h.base.name}")
-    domain = resolve(name)
     r = h.base.shape.base.rank
     dx, dy = h.doubled_coords[r], h.doubled_coords[r + 1]
     coords = tuple(d // 2 for d in h.doubled_coords[:r]) + ((dx + dy) // 2, (dx - dy) // 2)

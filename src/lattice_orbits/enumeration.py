@@ -74,9 +74,12 @@ def box_vectors(rank: int, bound: int):
 def check_budget(axes) -> int:
     """The number of tuples in the product of the axes; BoxTooLarge past WALK_BUDGET.
 
-    Read off the lengths of the axes as given, so nothing is copied first.
+    Read off the lengths of the axes as given, so nothing is copied first; a
+    range is measured from its ends, since len() overflows past sys.maxsize.
     """
-    walked = math.prod(map(len, axes))
+    walked = math.prod(
+        max(0, -((a.start - a.stop) // a.step)) if isinstance(a, range) else len(a) for a in axes
+    )
     if walked > WALK_BUDGET:
         raise BoxTooLarge(f"box walk of {walked} tuples exceeds the budget of {WALK_BUDGET}")
     return walked

@@ -18,8 +18,8 @@ reflections in short vectors (precomputed pools), hyperbolic block swaps,
 global negation, and (on even lattices) transvections along an isotropic basis
 vector of the unimodular hyperbolic block. Sampling is reproducible: the same
 seed and length give the same matrix. The pools of the four fixed recipe
-lattices are scanned once per name; an I_s_t pool is written down in closed
-form on each call, and only its drawn entries are built.
+lattices are scanned once per name; an I_s_t pool is closed form, so entry k
+is worked out from k when it is drawn and nothing else is built.
 
 A word is composed from checked generators and certified once, at the end.
 Each pool reflection is certified when it is built, as the rank-one update
@@ -307,8 +307,8 @@ def _pool_entry(lattice: Lattice, delta: tuple[int, ...]) -> _PoolReflection:
 def _generator_pool(lattice: Lattice):
     """Certified reflections for the lattice, deterministic order, sign-deduped.
 
-    A tuple for the fixed recipes; for I_s_t a _DiagonalPool, which certifies
-    an entry when it is first indexed.
+    A tuple for the fixed recipes; for I_s_t a _DiagonalPool, which builds
+    and certifies an entry each time it is indexed.
     """
     if _recipe_for(lattice) is _DIAGONAL_RECIPE:
         return _DiagonalPool(lattice)
@@ -322,37 +322,41 @@ def _recipe_pool(name: str) -> tuple[_PoolReflection, ...]:
 
 
 class _DiagonalPool:
-    """The pool of I_s_t in closed form, one per call; entries built when drawn.
+    """The pool of I_s_t in closed form, one per call; entry k worked out from k when drawn.
 
     The basis vectors in order, then e_i + e_j and e_i - e_j for each i < j of
     equal sign: the pool, in its order, that a scan of every one- and
-    two-coordinate window finds. Only the deltas are written down up front; an
-    entry is built and certified the first time it is indexed, so a word
-    certifies only the reflections it draws. len and indexing are all that
-    rng.choice uses, so the draws match those from the full tuple.
+    two-coordinate window finds. Indexing decodes k into a unit vector or into
+    (i, j, sign) and builds and certifies that entry, so a word certifies only
+    the reflections it draws and holds none of the rest. len and indexing are
+    all that rng.choice uses, so the draws match those from the full tuple.
     """
 
     def __init__(self, lattice: Lattice):
-        n, g = lattice.rank, lattice.gram
-        unit = [[int(i == k) for k in range(n)] for i in range(n)]
+        n = lattice.rank
         self.lattice = lattice
-        self.deltas = [tuple(e) for e in unit] + [
-            tuple([a + sign * b for a, b in zip(unit[i], unit[j])])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if g[i][i] == g[j][j]
-            for sign in (1, -1)
-        ]
-        self.entries: dict[int, _PoolReflection] = {}
+        self.s = s = sum(lattice.gram[i][i] > 0 for i in range(n))
+        self.size = n + s * (s - 1) + (n - s) * (n - s - 1)
 
     def __len__(self) -> int:
-        return len(self.deltas)
+        return self.size
 
     def __getitem__(self, k: int) -> _PoolReflection:
-        entry = self.entries.get(k)
-        if entry is None:
-            entry = self.entries[k] = _pool_entry(self.lattice, self.deltas[k])
-        return entry
+        if not 0 <= k < self.size:  # IndexError past the end also ends iteration
+            raise IndexError(f"pool index {k} is not in range({self.size})")
+        n, s = self.lattice.rank, self.s
+        delta = [0] * n
+        if k < n:
+            delta[k] = 1
+        else:
+            pair, minus = divmod(k - n, 2)
+            i = 0
+            while pair >= (row := (s if i < s else n) - 1 - i):  # row i: its pairs (i, j) of equal sign
+                pair -= row
+                i += 1
+            delta[i] = 1
+            delta[i + 1 + pair] = -1 if minus else 1
+        return _pool_entry(self.lattice, tuple(delta))
 
 
 def _scan_pool(lattice: Lattice, recipe: _Recipe) -> tuple[_PoolReflection, ...]:
@@ -413,6 +417,12 @@ def _apply_update(word: list[list[int]], update: _RowUpdate) -> None:
 MAX_WORD_LENGTH = 10**4
 
 
+def check_word_length(length: int) -> None:
+    """Refuse a word past MAX_WORD_LENGTH with LimitExceeded, before anything is drawn."""
+    if length > MAX_WORD_LENGTH:
+        raise LimitExceeded(f"isometry words hold at most {MAX_WORD_LENGTH} generators, got {length}")
+
+
 def sample_word(lattice: Lattice, seed: int, length: int) -> Isometry:
     """Deterministic product of `length` random generators; length 0 is the identity.
 
@@ -421,8 +431,7 @@ def sample_word(lattice: Lattice, seed: int, length: int) -> Isometry:
     refused with LimitExceeded.
     """
     check_counts(length=length)
-    if length > MAX_WORD_LENGTH:
-        raise LimitExceeded(f"isometry words hold at most {MAX_WORD_LENGTH} generators, got {length}")
+    check_word_length(length)
     recipe = _recipe_for(lattice)
     pool = _generator_pool(lattice)
     kinds = []

@@ -19,12 +19,11 @@ whether a lattice is what `resolve` gives for its name.
 
 Each lattice also carries its nonzero Gram terms, derived from the matrix on
 first use. Lminus has 26 nonzero entries out of 144, so form evaluations run
-over the terms; a diagonal matrix shows in them at no cost, which makes its
-determinant and signature linear in the rank; otherwise both come from the
-pivots of one `matrix.ldl`, their product and their signs, read together by
-`signature_and_determinant`. The norm c^T G c has one evaluator, `quadratic`,
-over the upper-triangle terms: 17 of them on Lminus, each off-diagonal entry
-once with a factor of 2.
+over the terms. The determinant and signature come from the pivots of one
+`matrix.ldl`, their product and their signs, read together by
+`signature_and_determinant`; a diagonal Gram takes the same path. The norm
+c^T G c has one evaluator, `quadratic`, over the upper-triangle terms: 17 of
+them on Lminus, each off-diagonal entry once with a factor of 2.
 """
 
 from __future__ import annotations
@@ -182,7 +181,7 @@ def _check_split_base(base: Lattice):
     # elimination gives both the determinant and the signature
     if not is_even(base):
         raise LatticeShapeMismatch(f"base {base.name} is not even")
-    pivots = _pivots(base)
+    pivots = matrix.ldl(base.gram)[0]
     if abs(math.prod(pivots)) != 1:
         raise LatticeShapeMismatch(f"base {base.name} is not unimodular")
     # even and unimodular already force this (van der Blij); the property test
@@ -245,19 +244,6 @@ def gram_vec(lattice: Lattice, v) -> list[int]:
     return [sum([g * v[j] for j, g in row]) for row in lattice.terms]
 
 
-def _diagonal(lattice: Lattice) -> list[int] | None:
-    """The diagonal of a diagonal Gram matrix, read off the terms; else None."""
-    if all(j == i for i, row in enumerate(lattice.terms) for j, _ in row):
-        return [lattice.gram[i][i] for i in range(lattice.rank)]
-    return None
-
-
-def _pivots(lattice: Lattice) -> list:
-    """The diagonal of a diagonal Gram matrix, read off the terms; else the `matrix.ldl` pivots."""
-    diag = _diagonal(lattice)
-    return matrix.ldl(lattice.gram)[0] if diag is None else diag
-
-
 def signature_and_determinant(lattice: Lattice) -> tuple[Signature, int]:
     """The signature and the determinant, from one reading of the pivots.
 
@@ -265,7 +251,7 @@ def signature_and_determinant(lattice: Lattice) -> tuple[Signature, int]:
     their product: each `ldl` fix-up is a congruence by a matrix of
     determinant +-1. A caller that needs both pays for one elimination.
     """
-    pivots = _pivots(lattice)
+    pivots = matrix.ldl(lattice.gram)[0]
     sig = Signature(sum(p > 0 for p in pivots), sum(p < 0 for p in pivots), pivots.count(0))
     return sig, int(math.prod(pivots))
 
@@ -350,7 +336,7 @@ def is_builtin(lattice: Lattice) -> bool:
 
     An I_s_t name is checked without building make_i(s, t): the name must be
     the canonical one (no leading zeros), the rank s + t, no shape tag, and
-    the diagonal read off the terms s ones then t minus-ones.
+    row i of the terms the one entry (i, 1) for i < s and (i, -1) after.
     """
     m = I_NAME.fullmatch(lattice.name)
     try:
@@ -363,8 +349,16 @@ def is_builtin(lattice: Lattice) -> bool:
         s + t == lattice.rank
         and lattice.name == f"I_{s}_{t}"
         and lattice.shape is None
-        and _diagonal(lattice) == [1] * s + [-1] * t
+        and all(row == [(i, 1 if i < s else -1)] for i, row in enumerate(lattice.terms))
     )
+
+
+def builtin_domain(image: Lattice) -> Lattice | None:
+    """The built-in lattice whose tag carries `image` as its half target, else None."""
+    for lattice in _BUILTINS.values():
+        if lattice.shape is not None and lattice.shape.image == image:
+            return lattice
+    return None
 
 
 def builtin_names() -> tuple[str, ...]:

@@ -36,7 +36,7 @@ from .errors import (
     OddNormInEvenLattice,
     ZeroVector,
 )
-from .isometries import MAX_WORD_LENGTH, apply, certify, sample_word
+from .isometries import apply, certify, check_word_length, sample_word
 from .lattices import TWISTED_PLUS_U, Lattice, quadratic, resolve, signature_and_determinant, split_base
 from .orbits import OrbitLabel, classify, representative
 from .vectors import LatticeVector, VectorType, norm, vector_type, vectors_of
@@ -80,6 +80,9 @@ class ConnectivityReport:
     lattice: Lattice
     norm: int
     bound: int
+    seed: int
+    walks: int
+    word_length: int
     components: tuple[ComponentSummary, ...]
     mixed_label_components: int
     edges_applied: int
@@ -146,12 +149,6 @@ def random_primitive(lattice: Lattice, rng: random.Random, bound: int) -> Lattic
         return LatticeVector(lattice, tuple(c // g for c in coords))
 
 
-def _check_word_length(word_length: int) -> None:
-    """Refuse a word past MAX_WORD_LENGTH before a suite draws a vector or scans a box."""
-    if word_length > MAX_WORD_LENGTH:
-        raise LimitExceeded(f"isometry words hold at most {MAX_WORD_LENGTH} generators, got {word_length}")
-
-
 def invariance_suite(
     lattice: Lattice,
     samples: int,
@@ -168,7 +165,7 @@ def invariance_suite(
     base(2) + U lattice.
     """
     check_counts(samples=samples, bound=bound, word_length=word_length)
-    _check_word_length(word_length)
+    check_word_length(word_length)
     split_base(lattice, TWISTED_PLUS_U)
     extra = tuple(certify(lattice, m) for m in isometries or ())
     rng = random.Random(seed)
@@ -213,7 +210,7 @@ def connectivity_experiment(
     before the box is scanned.
     """
     check_counts(bound=bound, walks=walks, word_length=word_length)
-    _check_word_length(word_length)
+    check_word_length(word_length)
     split_base(lattice, TWISTED_PLUS_U)
     scan = enumerate_primitive(lattice, bound, norm)
     labels = {v.coords: classify(v).label for v in scan.vectors}
@@ -252,21 +249,20 @@ def connectivity_experiment(
         has_rep = any(coords in members for coords in reps.values())
         components.append(ComponentSummary(len(members), present, has_rep))
     mixed = sum(1 for c in components if len(c.labels_present) > 1)
-    return ConnectivityReport(
-        lattice, norm, bound, tuple(components), mixed, edges_applied, edges_kept
-    )
+    return ConnectivityReport(lattice, norm, bound, seed, walks, word_length,
+                              tuple(components), mixed, edges_applied, edges_kept)
 
 
-def connectivity_to_suite(report: ConnectivityReport, seed: int, walks: int, word_length: int) -> SuiteResult:
-    """Wrap a connectivity report in the common suite envelope."""
+def connectivity_to_suite(report: ConnectivityReport) -> SuiteResult:
+    """Wrap a connectivity report, run parameters included, in the common suite envelope."""
     stats = {
         "lattice": report.lattice.name,
         "norm": report.norm,
         "n": report.norm // 2,
         "bound": report.bound,
-        "seed": seed,
-        "walks": walks,
-        "word_length": word_length,
+        "seed": report.seed,
+        "walks": report.walks,
+        "word_length": report.word_length,
         "vectors": sum(c.size for c in report.components),
         "component_count": len(report.components),
         "mixed_label_components": report.mixed_label_components,

@@ -393,6 +393,36 @@ def test_integers_past_the_digit_limit_end_without_a_traceback(package_env):
     assert json.loads(proc.stdout) == _PAST_DIGIT_LIMIT
 
 
+_HUGE_BOUNDS = ["9" * 20, "9" * 2000]  # len() of the first one's box axis is past sys.maxsize
+_HUGE_BOXES = [  # an argv without its bound, and the number of axes its walk counts
+    (["oracle-enumerate", "--lattice", "U"], 2),
+    (["oracle-enumerate", "--lattice", "U", "--norm", "2"], 1),  # the last axis is solved
+    (["oracle-wall", "--s", "1", "--t", "1"], 2),
+    (["oracle-connectivity", "--norm", "2", "--walks", "1"], 3),
+]
+
+
+@pytest.mark.parametrize("bound", _HUGE_BOUNDS, ids=["20-digit", "2000-digit"])
+@pytest.mark.parametrize("argv, axes", _HUGE_BOXES, ids=["enumerate", "enumerate-norm", "wall", "connectivity"])
+def test_huge_bounds_are_refused_as_domain_errors(argv, axes, bound):
+    code, out, err = run_cli([*argv, "--bound", bound])
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    check_schema(doc, "error.schema.json")
+    walked = (2 * int(bound) + 1) ** axes
+    if walked < 10**4300:
+        assert doc == {"error": "BoxTooLarge", "message": f"box walk of {walked} tuples exceeds the budget of 1000000"}
+    else:  # the count itself is past the digit limit, so the message cannot be printed
+        assert doc == _PAST_DIGIT_LIMIT
+
+
+def test_huge_bounds_end_without_a_traceback(package_env):
+    proc = run_module([*_HUGE_BOXES[0][0], "--bound", _HUGE_BOUNDS[0]], package_env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == "BoxTooLarge"
+
+
 def test_other_value_errors_still_propagate(monkeypatch):
     def broken(args, stdin):
         raise ValueError("a programming error")

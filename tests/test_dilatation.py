@@ -23,6 +23,8 @@ from lattice_orbits.lattices import (
     TWISTED_PLUS_U,
     Lattice,
     SplitShape,
+    builtin_domain,
+    builtin_names,
     direct_sum,
     make_e8,
     make_i,
@@ -133,6 +135,19 @@ def test_known_domains_are_the_built_in_half_targets():
     # the built-in targets are the images the domains' tags carry, not copies
     assert half_target(LMINUS) is resolve("E8_U_I11")
     assert half_target(U2U) is resolve("U_I11")
+
+
+def test_builtin_domain_reads_the_pairing_from_the_tags():
+    assert builtin_domain(resolve("E8_U_I11")) is LMINUS
+    assert builtin_domain(resolve("U_I11")) is U2U
+    for name in builtin_names()[:-1]:
+        if name not in ("E8_U_I11", "U_I11"):
+            assert builtin_domain(resolve(name)) is None, name
+    assert builtin_domain(make_i(1, 1)) is None
+    image = resolve("U_I11")
+    # an equal copy has the built-in's domain; the same form under another name has none
+    assert builtin_domain(Lattice("U_I11", image.rank, image.gram, image.shape)) is U2U
+    assert builtin_domain(Lattice("V_I11", image.rank, image.gram, image.shape)) is None
 
 
 def _hand_tagged(base):

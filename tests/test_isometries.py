@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -301,6 +302,7 @@ def test_warm_i_s_t_word_certifies_only_its_draws(monkeypatch, name, seed, lengt
     lattice = resolve(name)
     before = sample_word(lattice, seed, length)  # warms every cache a word may use
     pools = []
+    drawn = []
     certified = []
     post_init = Isometry.__post_init__
 
@@ -308,6 +310,11 @@ def test_warm_i_s_t_word_certifies_only_its_draws(monkeypatch, name, seed, lengt
         def __init__(self, lattice):
             super().__init__(lattice)
             pools.append(self)
+
+        def __getitem__(self, k):
+            entry = super().__getitem__(k)
+            drawn.append(entry)
+            return entry
 
     rank_one = isometries._certify_rank_one
 
@@ -326,10 +333,10 @@ def test_warm_i_s_t_word_certifies_only_its_draws(monkeypatch, name, seed, lengt
     assert word == before
     [pool] = pools
     assert len(pool) == size
-    # one rank-one certification per distinct drawn reflection, then the word itself
-    assert 0 < len(pool.entries) <= min(size, length)
-    assert len(certified) == len(pool.entries) + 1 and certified[-1] is word
-    assert certified[:-1] == [entry.delta for entry in pool.entries.values()]
+    # one rank-one certification per reflection drawn, in draw order, then the word itself
+    assert 0 < len(drawn) <= length
+    assert len(certified) == len(drawn) + 1 and certified[-1] is word
+    assert certified[:-1] == [entry.delta for entry in drawn]
 
 
 def test_corrupt_sparse_step_is_refused(monkeypatch):
@@ -441,6 +448,27 @@ def test_diagonal_pool_matches_the_window_scan():
             assert tuple(isometries._generator_pool(lattice)) == scanned, (s, t)
 
 
+def test_diagonal_pool_refuses_indices_outside_it():
+    pool = isometries._generator_pool(make_i(2, 1))
+    assert len(pool) == 3 + 2
+    for k in (-1, len(pool)):
+        with pytest.raises(IndexError):
+            pool[k]
+
+
+def test_i_s_t_word_holds_no_pool():
+    # an I_s_t pool is worked out per draw; writing down its O(n^2) deltas of n ints each
+    # peaked at 29 MB traced on this rank
+    lattice = resolve("I_150_0")
+    tracemalloc.start()
+    try:
+        sample_word(lattice, 0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 10**6
+
+
 def test_pools_are_kept_per_recipe_name_only():
     for s in range(1, 5):
         sample_word(make_i(s, 1), 0, 3)
@@ -468,18 +496,19 @@ def _pool_entries(monkeypatch):
     """(lattice, entry) for every entry of the four recipe pools and the I_12_8 entries words draw."""
     cases = [(resolve(name), entry) for name in sorted(isometries._RECIPES)
              for entry in isometries._recipe_pool(name)]
-    pools = []
+    drawn = []
 
     class RecordedPool(isometries._DiagonalPool):
-        def __init__(self, lattice):
-            super().__init__(lattice)
-            pools.append(self)
+        def __getitem__(self, k):
+            entry = super().__getitem__(k)
+            drawn.append(entry)
+            return entry
 
     monkeypatch.setattr(isometries, "_DiagonalPool", RecordedPool)
     lattice = resolve("I_12_8")
     for seed in range(10):
         sample_word(lattice, seed, 8)
-    return cases + [(lattice, entry) for pool in pools for entry in pool.entries.values()]
+    return cases + [(lattice, entry) for entry in drawn]
 
 
 def test_rank_one_certificate_agrees_with_dense_reflection(monkeypatch):

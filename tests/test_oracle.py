@@ -172,7 +172,7 @@ def test_connectivity_and_wall_pinned_digests():
     digest = hashlib.sha256()
     for value, bound in ((2, 3), (8, 3), (0, 2), (-4, 3)):
         report = connectivity_experiment(U2U, value, bound, 7, 150)
-        doc = jsonio.suite_to_json(oracle.connectivity_to_suite(report, 7, 150, 4))
+        doc = jsonio.suite_to_json(oracle.connectivity_to_suite(report))
         digest.update(json.dumps(doc).encode() + b"\n")
     assert digest.hexdigest() == "30d929305ac1801dc5aab57abf0fa08987877f998a378d61292b1d5bb12c5c35"
     digest = hashlib.sha256()
