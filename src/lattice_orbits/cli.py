@@ -276,10 +276,9 @@ def _cmd_oracle_enumerate(args, stdin):
 def _cmd_oracle_connectivity(args, stdin):
     from . import oracle
 
-    report = oracle.connectivity_experiment(
+    return _suite(oracle.connectivity_experiment(
         resolve(args.lattice), args.norm, args.bound, args.seed, args.walks, args.word_length
-    )
-    return _suite(oracle.connectivity_to_suite(report))
+    ))
 
 
 def _cmd_oracle_wall(args, stdin):

@@ -14,8 +14,8 @@ trailing coordinates of v have equal parity; for vectors of norm divisible by 4
 that happens exactly when v is characteristic.
 
 The image lattice is the one the domain's tag carries (`SplitShape.image`),
-built with the domain, so `half_target` builds nothing; for the built-ins it
-is the very value `resolve` gives for "E8_U_I11" or "U_I11".
+built with the tag, so `half_target` builds nothing; for the built-ins it is
+the very value `resolve` gives for "E8_U_I11" or "U_I11".
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .lattices import (
     TWISTED_PLUS_U,
     Lattice,
     _check_split_base,
-    base_plus_i11,
     builtin_domain,
     inner,
     split_base,
@@ -54,19 +53,12 @@ class HalfVector:
 
 
 def half_target(domain: Lattice) -> Lattice:
-    """The base + I_1_1 lattice receiving dilatation images of `domain`: its tag's image.
-
-    A tag made by hand carries no image, so its target is built (and its base
-    proved) here on each call.
-    """
+    """The base + I_1_1 lattice receiving dilatation images of `domain`: its tag's image."""
     base = split_base(domain, TWISTED_PLUS_U)
-    image = domain.shape.image
-    if image is None:
-        return base_plus_i11(base, name=f"{base.name}_I11")
-    # twisted_plus_u proved the base already; this per-call proof goes once the
+    # the tag proved the base already; this per-call proof goes once the
     # benchmark recorder's memory stops growing with throughput (ROADMAP item 1)
     _check_split_base(base)
-    return image
+    return domain.shape.image
 
 
 def dilate(v: LatticeVector) -> HalfVector:

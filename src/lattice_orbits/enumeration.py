@@ -66,11 +66,6 @@ def box_range(bound: int) -> range:
     return range(-bound, bound + 1)
 
 
-def box_vectors(rank: int, bound: int):
-    """All coordinate tuples in [-bound, bound]^rank, lexicographic order."""
-    return box_walk([box_range(bound)] * rank)
-
-
 def check_budget(axes) -> int:
     """The number of tuples in the product of the axes; BoxTooLarge past WALK_BUDGET.
 

@@ -423,6 +423,21 @@ def check_word_length(length: int) -> None:
         raise LimitExceeded(f"isometry words hold at most {MAX_WORD_LENGTH} generators, got {length}")
 
 
+# generator steps one suite draws, its word count times max(word length, 1), so
+# a word of length 0 still counts one step; the default suites take 8,000
+# (invariance) and 40,000 (connectivity) steps
+SUITE_WORD_BUDGET = 10**5
+
+
+def check_word_budget(words: int, length: int) -> None:
+    """Refuse, with LimitExceeded, a word past MAX_WORD_LENGTH, then a suite past SUITE_WORD_BUDGET."""
+    check_word_length(length)
+    if words * max(length, 1) > SUITE_WORD_BUDGET:
+        raise LimitExceeded(
+            f"suites draw at most {SUITE_WORD_BUDGET} generators in all, got {words} words of length {length}"
+        )
+
+
 def sample_word(lattice: Lattice, seed: int, length: int) -> Isometry:
     """Deterministic product of `length` random generators; length 0 is the identity.
 

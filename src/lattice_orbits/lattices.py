@@ -9,16 +9,16 @@ unimodular hyperbolic block at 10..11.
 Lattices built by `twisted_plus_u` / `base_plus_i11` carry a shape tag recording
 the even unimodular base of the leading block; the dilatation and orbit modules
 only accept tagged lattices, because their coordinate formulas depend on that
-split. `split_base` is the one check of a tag. A base(2) + U tag also carries
-its half target base + I_1_1, built and proved once with the tag, so the
+split. `split_base` is the one check of a tag. A base(2) + U tag builds its
+half target base + I_1_1 when it is made, which proves its base, so the
 built-in "E8_U_I11" and "U_I11" are the images carried by Lminus and U2U.
 
 The fixed built-ins are plain values made once at import; `resolve` hands them
 out and builds I_s_t lattices on each call, and `is_builtin` is the one test of
 whether a lattice is what `resolve` gives for its name.
 
-Each lattice also carries its nonzero Gram terms, derived from the matrix on
-first use. Lminus has 26 nonzero entries out of 144, so form evaluations run
+Each lattice also carries its nonzero Gram terms, derived from the matrix when
+it is built. Lminus has 26 nonzero entries out of 144, so form evaluations run
 over the terms. The determinant and signature come from the pivots of one
 `matrix.ldl`, their product and their signs, read together by
 `signature_and_determinant`; a diagonal Gram takes the same path. The norm
@@ -50,14 +50,19 @@ BASE_PLUS_I11 = "base_plus_i11"
 class SplitShape:
     """Structural tag: leading block is `base` (twisted or not), trailing block rank 2.
 
-    A base(2) + U tag from `twisted_plus_u` also carries `image`, the base +
-    I_1_1 lattice its dilatations land in, built once with the tag. Equality,
-    hashing and repr ignore it; a tag made by hand has none.
+    A base(2) + U tag also carries `image`, the base + I_1_1 lattice its
+    dilatations land in, built when the tag is made; building it proves the
+    base, so a tag over a bad base is refused there. Equality, hashing and
+    repr ignore it.
     """
 
     kind: str
     base: "Lattice"
-    image: "Lattice | None" = field(default=None, compare=False, repr=False)
+    image: "Lattice | None" = field(init=False, default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind == TWISTED_PLUS_U:
+            object.__setattr__(self, "image", base_plus_i11(self.base, name=f"{self.base.name}_I11"))
 
 
 @dataclass(frozen=True)
@@ -74,40 +79,18 @@ class Lattice:
             raise RankMismatch(f"gram matrix is not {self.rank}x{self.rank}")
         if not matrix.is_symmetric(self.gram):
             raise LatticeShapeMismatch("gram matrix is not symmetric")
-
-    @property
-    def terms(self) -> list[list[tuple[int, int]]]:
-        """The nonzero (j, g) entries of each Gram row, built on first use.
-
-        Not a field, so equality, hashing and repr ignore it. Lists, not
-        tuple(generator), whose resizing fills CPython's tuple free lists.
-        Stored with object.__setattr__, not functools.cached_property: that
-        writes through __dict__, which costs the instance its inline
-        attribute values, and every later attribute read on the lattice
-        slows down (enumerate_primitive(U2U, 4) by 15-25% on Python 3.11).
-        """
-        try:
-            return self._terms
-        except AttributeError:
-            terms = gram_terms(self.gram)
-            object.__setattr__(self, "_terms", terms)
-            return terms
-
-    @property
-    def upper_terms(self) -> list[tuple[int, int, int]]:
-        """(i, j, k) for each nonzero Gram entry with i <= j, built on first use.
-
-        k is the entry on the diagonal and twice the entry above it, so the
-        sum of k*c[i]*c[j] is c^T G c. Stored like `terms`, outside equality,
-        hashing and repr.
-        """
-        try:
-            return self._upper_terms
-        except AttributeError:
-            upper = [(i, j, g if i == j else 2 * g)
-                     for i, row in enumerate(self.terms) for j, g in row if i <= j]
-            object.__setattr__(self, "_upper_terms", upper)
-            return upper
+        # Derived here and set outside the fields, so equality, hashing and repr
+        # ignore them; set through object.__setattr__, not cached_property, which
+        # writes through __dict__ and costs the instance its inline attributes.
+        # terms: the nonzero (j, g) of each Gram row, as lists, not
+        # tuple(generator), whose resizing fills CPython's tuple free lists.
+        # upper_terms: (i, j, k) per nonzero entry with i <= j, k the entry on
+        # the diagonal and twice it above, so sum k*c[i]*c[j] is c^T G c.
+        terms = gram_terms(self.gram)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "upper_terms", [
+            (i, j, g if i == j else 2 * g) for i, row in enumerate(terms) for j, g in row if i <= j
+        ])
 
 
 def gram_terms(gram: matrix.IntMatrix) -> list[list[tuple[int, int]]]:
@@ -204,11 +187,11 @@ def split_base(lattice: Lattice, kind: str) -> Lattice:
 def twisted_plus_u(base: Lattice, name: str) -> Lattice:
     """base(2) + U with a shape tag; the orbit classifier works on these.
 
-    Building the tag's half target, "<base>_I11", is the one proof of the base.
+    The tag builds its half target, "<base>_I11", the one proof of the base.
     """
-    image = base_plus_i11(base, name=f"{base.name}_I11")
+    shape = SplitShape(TWISTED_PLUS_U, base)
     body = direct_sum(twist(base, 2, name=f"{base.name}(2)"), make_u())
-    return Lattice(name, body.rank, body.gram, SplitShape(TWISTED_PLUS_U, base, image))
+    return Lattice(name, body.rank, body.gram, shape)
 
 
 def base_plus_i11(base: Lattice, name: str) -> Lattice:
@@ -264,10 +247,6 @@ def determinant(lattice: Lattice) -> int:
 def is_even(lattice: Lattice) -> bool:
     """True when every vector has even norm; equivalent to an even diagonal."""
     return all(lattice.gram[i][i] % 2 == 0 for i in range(lattice.rank))
-
-
-def is_unimodular(lattice: Lattice) -> bool:
-    return abs(determinant(lattice)) == 1
 
 
 def signature(lattice: Lattice) -> Signature:

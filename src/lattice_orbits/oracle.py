@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .enumeration import box_range, box_vectors, box_walk, check_budget, check_counts, definite_vectors
+from .enumeration import box_range, box_walk, check_budget, check_counts, definite_vectors
 from .errors import (
     LabelParityMismatch,
     LatticeShapeMismatch,
@@ -36,7 +36,7 @@ from .errors import (
     OddNormInEvenLattice,
     ZeroVector,
 )
-from .isometries import apply, certify, check_word_length, sample_word
+from .isometries import apply, certify, check_word_budget, sample_word
 from .lattices import TWISTED_PLUS_U, Lattice, quadratic, resolve, signature_and_determinant, split_base
 from .orbits import OrbitLabel, classify, representative
 from .vectors import LatticeVector, VectorType, norm, vector_type, vectors_of
@@ -66,27 +66,6 @@ class SuiteResult:
 def _verdict(suite: str, counterexample: dict | None, stats: dict) -> SuiteResult:
     """A suite passes exactly when it found no counterexample."""
     return SuiteResult(suite, "pass" if counterexample is None else "fail", counterexample, stats)
-
-
-@dataclass(frozen=True)
-class ComponentSummary:
-    size: int
-    labels_present: tuple[str, ...]
-    contains_representative: bool
-
-
-@dataclass(frozen=True)
-class ConnectivityReport:
-    lattice: Lattice
-    norm: int
-    bound: int
-    seed: int
-    walks: int
-    word_length: int
-    components: tuple[ComponentSummary, ...]
-    mixed_label_components: int
-    edges_applied: int
-    edges_kept: int
 
 
 def enumerate_primitive(lattice: Lattice, bound: int, norm: int | None = None) -> BoxScan:
@@ -161,11 +140,11 @@ def invariance_suite(
 
     Each round draws a random primitive vector and a fresh word; optional
     explicit matrices go through certification first, so a corrupted one is
-    refused before anything runs, and so is a lattice that is not a tagged
-    base(2) + U lattice.
+    refused before anything runs, and so are a lattice that is not a tagged
+    base(2) + U lattice and a run past isometries.SUITE_WORD_BUDGET.
     """
     check_counts(samples=samples, bound=bound, word_length=word_length)
-    check_word_length(word_length)
+    check_word_budget(samples, word_length)
     split_base(lattice, TWISTED_PLUS_U)
     extra = tuple(certify(lattice, m) for m in isometries or ())
     rng = random.Random(seed)
@@ -199,18 +178,19 @@ def connectivity_experiment(
     seed: int,
     walks: int,
     word_length: int = 4,
-) -> ConnectivityReport:
+) -> SuiteResult:
     """Union-find over walk edges; counts components that mix orbit labels.
 
     An edge joins v to g(v) when the image stays inside the box. Components
-    are reported with their label sets; any component holding two labels is a
-    counterexample to invariance, so mixed_label_components must be 0.
-    Connectivity itself is only suggestive: more walks can still merge
-    components. A lattice that is not a tagged base(2) + U lattice is refused
-    before the box is scanned.
+    are reported in the stats with their label sets; any component holding
+    two labels is a counterexample to invariance, so mixed_label_components
+    must be 0. Connectivity itself is only suggestive: more walks can still
+    merge components. A lattice that is not a tagged base(2) + U lattice, and
+    a run past isometries.SUITE_WORD_BUDGET, are refused before the box is
+    scanned.
     """
     check_counts(bound=bound, walks=walks, word_length=word_length)
-    check_word_length(word_length)
+    check_word_budget(walks, word_length)
     split_base(lattice, TWISTED_PLUS_U)
     scan = enumerate_primitive(lattice, bound, norm)
     labels = {v.coords: classify(v).label for v in scan.vectors}
@@ -223,61 +203,48 @@ def connectivity_experiment(
 
     edges_applied = edges_kept = 0
     rng = random.Random(seed)
-    pool = list(scan.vectors)
-    if pool:
+    if scan.vectors:
         for _ in range(walks):
-            v = rng.choice(pool)
+            v = rng.choice(scan.vectors)
             word = sample_word(lattice, rng.randrange(2**32), word_length)
             w = apply(word, v)
             edges_applied += 1
             if w.coords in labels:
                 parent[find(v.coords)] = find(w.coords)
                 edges_kept += 1
-    reps = {}
+    reps = set()
     for label in OrbitLabel:
         try:
-            cand = representative(norm, label, lattice)
+            reps.add(representative(norm, label, lattice).coords)
         except (LabelParityMismatch, LatticeShapeMismatch, OddNormInEvenLattice):
             continue  # no representative means the label cannot occur at this norm
-        reps[label] = cand.coords
     groups = {}
     for coords in labels:
         groups.setdefault(find(coords), set()).add(coords)
-    components = []
-    for members in sorted(groups.values(), key=min):  # by smallest member, whichever root won
-        present = tuple(sorted({labels[m].value for m in members}))
-        has_rep = any(coords in members for coords in reps.values())
-        components.append(ComponentSummary(len(members), present, has_rep))
-    mixed = sum(1 for c in components if len(c.labels_present) > 1)
-    return ConnectivityReport(lattice, norm, bound, seed, walks, word_length,
-                              tuple(components), mixed, edges_applied, edges_kept)
-
-
-def connectivity_to_suite(report: ConnectivityReport) -> SuiteResult:
-    """Wrap a connectivity report, run parameters included, in the common suite envelope."""
+    components = [
+        {
+            "size": len(members),
+            "labels_present": sorted({labels[m].value for m in members}),
+            "contains_representative": not reps.isdisjoint(members),
+        }
+        for members in sorted(groups.values(), key=min)  # by smallest member, whichever root won
+    ]
+    mixed = sum(1 for c in components if len(c["labels_present"]) > 1)
     stats = {
-        "lattice": report.lattice.name,
-        "norm": report.norm,
-        "n": report.norm // 2,
-        "bound": report.bound,
-        "seed": report.seed,
-        "walks": report.walks,
-        "word_length": report.word_length,
-        "vectors": sum(c.size for c in report.components),
-        "component_count": len(report.components),
-        "mixed_label_components": report.mixed_label_components,
-        "edges_applied": report.edges_applied,
-        "edges_kept": report.edges_kept,
-        "components": [
-            {
-                "size": c.size,
-                "labels_present": list(c.labels_present),
-                "contains_representative": c.contains_representative,
-            }
-            for c in report.components
-        ],
+        "lattice": lattice.name,
+        "norm": norm,
+        "n": norm // 2,
+        "bound": bound,
+        "seed": seed,
+        "walks": walks,
+        "word_length": word_length,
+        "vectors": len(labels),
+        "component_count": len(components),
+        "mixed_label_components": mixed,
+        "edges_applied": edges_applied,
+        "edges_kept": edges_kept,
+        "components": components,
     }
-    mixed = report.mixed_label_components
     return _verdict("connectivity", {"mixed_label_components": mixed} if mixed else None, stats)
 
 
@@ -290,7 +257,7 @@ def wall_scan(s: int, t: int, bound: int) -> SuiteResult:
         raise NotUnimodular(f"{lattice.name} has |det| != 1")
     checked = 0
     counterexample = None
-    for coords in box_vectors(lattice.rank, bound):
+    for coords in box_walk([box_range(bound)] * lattice.rank):
         v = LatticeVector(lattice, coords)
         if vector_type(v) is not VectorType.CHARACTERISTIC:
             continue

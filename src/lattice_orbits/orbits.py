@@ -161,17 +161,15 @@ def embed_invariant(w: LatticeVector) -> LatticeVector:
 
 
 def is_even_type(v: LatticeVector) -> bool:
-    """Even type for primitive vectors of norm divisible by 4.
+    """Even type for primitive vectors of norm divisible by 4: classify's phi_integral.
 
-    Equivalent to integrality of the norm-halving image; for the rank-12
-    built-in this matches the existence of an invariant-partner witness.
+    Integrality of the norm-halving image; for the rank-12 built-in this
+    matches the existence of an invariant-partner witness.
     """
-    split_base(v.lattice, TWISTED_PLUS_U)
-    _require_primitive(v)
-    half = norm(v) // 2
-    if half % 2 != 0:
-        raise EvenTypeUndefinedForOddN(f"norm {2 * half} is not divisible by 4")
-    return is_integral(dilate(v))
+    report = classify(v)
+    if report.label is OrbitLabel.ODD:
+        raise EvenTypeUndefinedForOddN(f"norm {report.norm} is not divisible by 4")
+    return report.phi_integral
 
 
 def _witness_ok(v: LatticeVector, w: LatticeVector) -> bool:
@@ -221,7 +219,7 @@ def even_witness(v: LatticeVector) -> WitnessResult:
     return WitnessResult(w, False)
 
 
-def heegner_report(n: int, lattice: Lattice | None = None) -> HeegnerReport:
+def heegner_report(n: int) -> HeegnerReport:
     """Orbit components of the degree-n locus: one for odd n, two for even n."""
     labels = (
         (OrbitLabel.ODD,)
@@ -229,7 +227,7 @@ def heegner_report(n: int, lattice: Lattice | None = None) -> HeegnerReport:
         else (OrbitLabel.EVEN_CHARACTERISTIC, OrbitLabel.EVEN_ORDINARY)
     )
     comps = tuple(
-        HeegnerComponent(lab, representative(2 * n, lab, lattice)) for lab in labels
+        HeegnerComponent(lab, representative(2 * n, lab)) for lab in labels
     )
     return HeegnerReport(n, 2 * n, comps)
 
@@ -238,7 +236,7 @@ def heegner_report(n: int, lattice: Lattice | None = None) -> HeegnerReport:
 HEEGNER_MAX_RANGE = 10**4
 
 
-def heegner_range(n_min: int, n_max: int, lattice: Lattice | None = None):
+def heegner_range(n_min: int, n_max: int):
     """Reports for every n in [n_min, n_max]; empty when the range is empty.
 
     A range of more than HEEGNER_MAX_RANGE values is refused with
@@ -246,4 +244,4 @@ def heegner_range(n_min: int, n_max: int, lattice: Lattice | None = None):
     """
     if n_max - n_min + 1 > HEEGNER_MAX_RANGE:
         raise LimitExceeded(f"heegner ranges hold at most {HEEGNER_MAX_RANGE} values of n")
-    return tuple(heegner_report(n, lattice) for n in range(n_min, n_max + 1))
+    return tuple(heegner_report(n) for n in range(n_min, n_max + 1))

@@ -109,10 +109,6 @@ def vector_type(v: LatticeVector) -> VectorType:
     return VectorType.CHARACTERISTIC
 
 
-def is_characteristic(v: LatticeVector) -> bool:
-    return vector_type(v) is VectorType.CHARACTERISTIC
-
-
 def characteristic_by_parity(v: LatticeVector) -> bool:
     """Parity shortcut on base + I_1_1 lattices.
 

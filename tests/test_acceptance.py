@@ -5,6 +5,7 @@ All bounds and seeds are fixed; every assertion is exact.
 """
 
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,6 @@ from lattice_orbits.dilatation import (
     dilate_inverse,
     half_norm,
 )
-from lattice_orbits.enumeration import box_vectors
 from lattice_orbits.lattices import determinant, resolve, signature
 from lattice_orbits.oracle import (
     connectivity_experiment,
@@ -112,7 +112,7 @@ def test_criterion_03_triple_agreement(u2u_box6, lminus_sample):
 
 def test_criterion_04_parity_fastpath_exhaustive():
     lattice = resolve("U_I11")
-    for coords in box_vectors(4, 4):
+    for coords in product(range(-4, 5), repeat=4):
         v = LatticeVector(lattice, coords)
         assert characteristic_by_parity(v) == (
             vector_type(v) is VectorType.CHARACTERISTIC
@@ -125,13 +125,13 @@ def test_criterion_05_halving_contracts(lminus_sample):
         h = dilate(v)
         assert norm(v) == 2 * half_norm(h)
         assert dilate_inverse(h) == v
-    for coords in box_vectors(4, 5):
+    for coords in product(range(-5, 6), repeat=4):
         v = vec(U2U, coords)
         h = dilate(v)
         assert norm(v) == 2 * half_norm(h)
         assert dilate_inverse(h) == v
     target = resolve("U_I11")
-    for coords in box_vectors(4, 3):
+    for coords in product(range(-3, 4), repeat=4):
         doubled = (2 * coords[0], 2 * coords[1], coords[2], coords[3])
         if (doubled[2] - doubled[3]) % 2 != 0:
             continue
@@ -179,13 +179,13 @@ def test_criterion_07_even_type_and_witnesses(u2u_box6, lminus_sample):
 
 def test_criterion_08_connectivity_purity():
     for value in range(-8, 9):
-        report = connectivity_experiment(U2U, value, 5, SEED, 10_000, 4)
-        assert report.mixed_label_components == 0, value
+        result = connectivity_experiment(U2U, value, 5, SEED, 10_000, 4)
+        assert result.status == "pass" and result.stats["mixed_label_components"] == 0, value
         if value % 2 == 0:
-            assert report.components, value
-            assert report.edges_applied == 10_000
+            assert result.stats["components"], value
+            assert result.stats["edges_applied"] == 10_000
         else:
-            assert report.components == ()  # even lattice, odd norm
+            assert result.stats["components"] == []  # even lattice, odd norm
     print("criterion 8 (walk components stay label-pure): PASS")
 
 

@@ -1,14 +1,17 @@
 import io
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 from referencing import Registry, Resource
 
-from lattice_orbits import cli, lattices, oracle, orbits
+from lattice_orbits import cli, enumeration, isometries, lattices, oracle, orbits
 from lattice_orbits.cli import run
 from lattice_orbits.dilatation import HalfVector, half_target
 from lattice_orbits.errors import LatticeShapeMismatch
@@ -333,6 +336,13 @@ def test_oversized_i_s_t_is_refused_before_it_is_built(argv, monkeypatch):
     assert doc == {"error": "RankMismatch", "message": "I_s_t lattices need s + t <= 1000"}
 
 
+_HUGE_BOUNDS = ["9" * 20, "9" * 2000]  # len() of the first one's box axis is past sys.maxsize
+_HUGE_COUNTS = [  # an argv without its count, the flag that takes it, and the word length
+    (["oracle-invariance"], "--samples", 8),
+    (["oracle-connectivity", "--norm", "2", "--bound", "2"], "--walks", 4),
+]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -344,6 +354,10 @@ def test_oversized_i_s_t_is_refused_before_it_is_built(argv, monkeypatch):
          "isometry words hold at most 10000 generators, got 10001"),
         (["oracle-connectivity", "--norm", "2", "--word-length", "10001"],
          "isometry words hold at most 10000 generators, got 10001"),
+        *(pytest.param([*argv, flag, count],
+                       f"suites draw at most 100000 generators in all, got {count} words of length {length}",
+                       id=f"{argv[0]}-{len(count)}-digit-count")
+          for argv, flag, length in _HUGE_COUNTS for count in _HUGE_BOUNDS),
     ],
 )
 def test_work_caps_are_refused_before_any_work(argv, message, monkeypatch):
@@ -393,7 +407,6 @@ def test_integers_past_the_digit_limit_end_without_a_traceback(package_env):
     assert json.loads(proc.stdout) == _PAST_DIGIT_LIMIT
 
 
-_HUGE_BOUNDS = ["9" * 20, "9" * 2000]  # len() of the first one's box axis is past sys.maxsize
 _HUGE_BOXES = [  # an argv without its bound, and the number of axes its walk counts
     (["oracle-enumerate", "--lattice", "U"], 2),
     (["oracle-enumerate", "--lattice", "U", "--norm", "2"], 1),  # the last axis is solved
@@ -421,6 +434,15 @@ def test_huge_bounds_end_without_a_traceback(package_env):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["error"] == "BoxTooLarge"
+
+
+@pytest.mark.parametrize("count", _HUGE_BOUNDS, ids=["20-digit", "2000-digit"])
+@pytest.mark.parametrize("argv, flag, length", _HUGE_COUNTS, ids=["invariance", "connectivity"])
+def test_huge_counts_end_without_a_traceback(argv, flag, length, count, package_env):
+    proc = run_module([*argv, flag, count], package_env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == "LimitExceeded"
 
 
 def test_other_value_errors_still_propagate(monkeypatch):
@@ -623,3 +645,119 @@ def test_help_returns_to_caller(argv, package_env, monkeypatch):
     assert out.startswith("usage: lattice-orbits ")
     proc = run_module(argv, {**package_env, "COLUMNS": "100"})
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+# CLI fuzz: every integer flag of every subcommand, plus the integers inside
+# coordinate lists and I_s_t names, drawn from the extremes, the small values
+# and one past each cap. A value at a cap is accepted and may run for seconds,
+# so none is drawn.
+_HUGE = 10**20
+_SMALL = (-_HUGE, -1, 0, 1, 2, _HUGE)
+
+
+def _first_bound_past(limit, axes):
+    """The smallest box bound whose walk over `axes` axes holds more than `limit` tuples."""
+    bound = max(0, round(limit ** (1 / axes)) // 2 - 2)
+    while (2 * bound + 1) ** axes <= limit:
+        bound += 1
+    return bound
+
+
+def _ints(*past_caps):
+    return st.sampled_from(_SMALL + past_caps)
+
+
+def _flags(**flags):
+    """One "--flag=value" per keyword (underscores become dashes), left out when None."""
+    return [f"--{name.replace('_', '-')}={value}" for name, value in flags.items() if value is not None]
+
+
+def _optional(strategy):
+    return st.none() | strategy
+
+
+# rank 12: Lminus and its half target E8_U_I11
+_COORDS = st.lists(_ints(), min_size=12, max_size=12).map(lambda c: ",".join(map(str, c)))
+_VECTOR = _COORDS.map(lambda c: [f"--coords={c}"])
+
+
+_SCAN_PAST = _first_bound_past(oracle.MAX_SCAN_HITS, 4)  # unfiltered U2U scans
+_WALK_PAST = _first_bound_past(enumeration.WALK_BUDGET, 3)  # norm walks on U2U
+_WALL_PAST = _first_bound_past(enumeration.WALK_BUDGET, 1)  # past the budget at every rank
+_WORD_PAST = isometries.MAX_WORD_LENGTH + 1
+_COUNT_PAST = isometries.SUITE_WORD_BUDGET + 1
+_RANK_PAST = lattices.MAX_I_RANK + 1
+
+# subcommand -> (argv strategy, the schema of its stdout document on exit 0 or 3)
+_FUZZ = {
+    "info": (st.builds(lambda s, t: [f"--lattice=I_{s}_{t}"], _ints(_RANK_PAST), _ints(_RANK_PAST)),
+             "lattice_info.schema.json"),
+    "classify": (_VECTOR, "classification_report.schema.json"),
+    "rep": (st.builds(lambda norm, n, label: _flags(norm=norm, n=n, **{"class": label}),
+                      _optional(_ints()), _optional(_ints()),
+                      _optional(st.sampled_from(["odd", "characteristic", "ordinary"]))),
+            "vector.schema.json"),
+    "phi": (_VECTOR, "half_vector.schema.json"),
+    "phi-inv": (_COORDS.map(lambda c: ["--base=E8_U_I11", f"--doubled={c}"]), "vector.schema.json"),
+    "even-type": (_VECTOR, "even_type.schema.json"),
+    "witness": (_VECTOR, "witness_result.schema.json"),
+    # one past the cap is a range of HEEGNER_MAX_RANGE + 1 values of n
+    "heegner": (_ints().flatmap(lambda lo: st.builds(
+        lambda hi: _flags(**{"from": lo, "to": hi}), _ints(lo + orbits.HEEGNER_MAX_RANGE))),
+        "heegner_report.schema.json"),
+    "oracle-invariance": (st.builds(
+        lambda lattice, samples, seed, bound, length: _flags(
+            lattice=lattice, samples=samples, seed=seed, bound=bound, word_length=length),
+        st.sampled_from(["Lminus", "U2U"]), _ints(_COUNT_PAST), _ints(), _ints(), _ints(_WORD_PAST)),
+        "suite_result.schema.json"),
+    "oracle-enumerate": (st.builds(
+        lambda bound, norm: _flags(lattice="U2U", bound=bound, norm=norm),
+        _ints(_SCAN_PAST, _WALK_PAST), _optional(_ints())),
+        "box_scan.schema.json"),
+    "oracle-connectivity": (st.builds(
+        lambda norm, bound, seed, walks, length: _flags(
+            norm=norm, bound=bound, seed=seed, walks=walks, word_length=length),
+        _ints(), _ints(_WALK_PAST), _ints(), _ints(_COUNT_PAST), _ints(_WORD_PAST)),
+        "suite_result.schema.json"),
+    "oracle-wall": (st.builds(lambda s, t, bound: _flags(s=s, t=t, bound=bound),
+                              _ints(_RANK_PAST), _ints(_RANK_PAST), _ints(_WALL_PAST)),
+                    "suite_result.schema.json"),
+    "oracle-e8": (_ints(oracle.E8_MIN_NORM - 1).map(lambda norm: _flags(norm=norm)),
+                  "suite_result.schema.json"),
+}
+
+_ALARM_S = 5  # per example; every drawn argv ends in milliseconds
+
+
+class _TooSlow(Exception):
+    pass
+
+
+def _too_slow(signum, frame):
+    raise _TooSlow(f"the example ran past {_ALARM_S} s")
+
+
+def test_fuzz_covers_every_subcommand():
+    assert sorted(_FUZZ) == sorted(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ))
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.generate])  # no shrinking: a slow example would repeat
+@given(data=st.data())
+def test_integer_flags_end_in_an_exit_code_and_a_valid_document(command, data):
+    flags, schema = _FUZZ[command]
+    argv = [command, *data.draw(flags, label="flags")]
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(_ALARM_S)
+    try:
+        code, out, err = run_cli(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert err == ""
+        check_schema(json.loads(out), "error.schema.json" if code == 2 else schema)

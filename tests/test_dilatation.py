@@ -37,7 +37,6 @@ from lattice_orbits.orbits import OrbitLabel, classify
 from lattice_orbits.vectors import (
     VectorType,
     characteristic_by_parity,
-    is_characteristic,
     is_primitive,
     norm,
     vec,
@@ -151,7 +150,7 @@ def test_builtin_domain_reads_the_pairing_from_the_tags():
 
 
 def _hand_tagged(base):
-    """base(2) + U tagged by hand: the tag carries no half target."""
+    """base(2) + U tagged by hand: the tag builds its own half target."""
     body = direct_sum(twist(base, 2), make_u())
     return Lattice("Hand", body.rank, body.gram, SplitShape(TWISTED_PLUS_U, base))
 
@@ -161,19 +160,20 @@ def _hand_tagged(base):
     [(make_i(1, 1), r"^base I_1_1 is not even$"), (twist(make_u(), 2), r"^base U\(2\) is not unimodular$")],
 )
 def test_hand_made_tags_over_bad_bases_still_fail(base, message):
-    v = vec(_hand_tagged(base), (0,) * base.rank + (1, 3))
-    for call in (classify, dilate):
-        with pytest.raises(LatticeShapeMismatch, match=message):
-            call(v)
+    # refused when the tag is made, so no vector of such a lattice exists
+    with pytest.raises(LatticeShapeMismatch, match=message):
+        SplitShape(TWISTED_PLUS_U, base)
+    with pytest.raises(LatticeShapeMismatch, match=message):
+        _hand_tagged(base)
 
 
 def test_hand_made_tags_over_good_bases_still_classify():
-    # the target is built for the call, so it equals the built-in but is not it
+    # the target is built with the tag, so it equals the built-in but is not it
     e8_u = direct_sum(make_e8(), make_u(), name="E8_U")
     for base, target in ((make_u(), resolve("U_I11")), (e8_u, resolve("E8_U_I11"))):
         lattice = _hand_tagged(base)
-        assert lattice.shape.image is None
-        assert half_target(lattice) == target and half_target(lattice) is not target
+        assert lattice.shape.image == target and lattice.shape.image is not target
+        assert half_target(lattice) is lattice.shape.image
         assert classify(vec(lattice, (0,) * base.rank + (1, 3))).label is OrbitLabel.ODD
         assert classify(vec(lattice, (0,) * base.rank + (2, 1))).label is OrbitLabel.EVEN_ORDINARY
         assert dilate(vec(lattice, (0,) * base.rank + (1, 3))).base == target
@@ -245,4 +245,4 @@ def test_halving_round_trip_and_parity_on_random_primitive_vectors(v):
     r = v.lattice.shape.base.rank
     assert is_integral(h) == (v.coords[r] % 2 == v.coords[r + 1] % 2)
     # the parity shortcut against the definition, pairings with every basis vector
-    assert characteristic_by_parity(double(h)) == is_characteristic(double(h))
+    assert characteristic_by_parity(double(h)) == (vector_type(double(h)) is VectorType.CHARACTERISTIC)

@@ -11,7 +11,6 @@ from lattice_orbits import enumeration
 from lattice_orbits.enumeration import (
     WALK_BUDGET,
     box_range,
-    box_vectors,
     box_walk,
     check_counts,
     short_vectors_definite,
@@ -23,8 +22,8 @@ from lattice_orbits.matrix import det, ldl, mat_mul, transpose
 from lattice_orbits.oracle import enumerate_primitive, wall_scan
 
 
-def test_box_vectors_order_and_count():
-    got = list(box_vectors(2, 1))
+def test_box_walk_order_and_count():
+    got = list(box_walk([box_range(1)] * 2))
     assert len(got) == 9
     assert got[0] == (-1, -1)
     assert got == sorted(got)
@@ -49,7 +48,7 @@ def test_negative_bound_is_refused():
     with pytest.raises(NegativeCount):
         box_range(-1)
     with pytest.raises(NegativeCount):
-        box_vectors(3, -2)
+        box_walk([box_range(-2)] * 3)
 
 
 def _form(gram, c):
@@ -340,8 +339,8 @@ def test_walk_budget_counts_walked_tuples():
 def test_over_budget_searches_are_refused_before_walking():
     lminus = resolve("Lminus")
     with pytest.raises(BoxTooLarge):
-        box_vectors(7, 8)  # 17^7 tuples
-    assert next(box_vectors(6, 4)) == (-4,) * 6  # 9^6 = 531441 tuples, within the budget
+        box_walk([box_range(8)] * 7)  # 17^7 tuples
+    assert next(box_walk([box_range(4)] * 6)) == (-4,) * 6  # 9^6 = 531441 tuples, within the budget
     for call in (
         lambda: enumerate_primitive(lminus, 5),
         lambda: enumerate_primitive(lminus, 5, 4),

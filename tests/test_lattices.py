@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_orbits import dilatation, jsonio, lattices, matrix
+from lattice_orbits import jsonio, lattices, matrix
 from lattice_orbits.cli import run
 from lattice_orbits.dilatation import dilate, half_target
 from lattice_orbits.errors import (
@@ -30,7 +31,6 @@ from lattice_orbits.lattices import (
     inner,
     is_builtin,
     is_even,
-    is_unimodular,
     make_e8,
     make_i,
     make_u,
@@ -48,7 +48,7 @@ def test_u_gram_and_determinant():
     u = make_u()
     assert u.gram == ((0, 1), (1, 0))
     assert determinant(u) == -1
-    assert is_even(u) and is_unimodular(u)
+    assert is_even(u) and abs(determinant(u)) == 1
 
 
 def test_e8_shape():
@@ -58,7 +58,7 @@ def test_e8_shape():
     assert determinant(e8) == 1
     sig = signature(e8)
     assert (sig.positive, sig.negative, sig.zero) == (0, 8, 0)
-    assert is_even(e8) and is_unimodular(e8)
+    assert is_even(e8) and abs(determinant(e8)) == 1
 
 
 def test_e8_offdiagonal_entries():
@@ -87,7 +87,7 @@ def test_make_i():
 def test_twist():
     u2 = twist(make_u(), 2)
     assert u2.gram == ((0, 2), (2, 0))
-    assert not is_unimodular(u2)
+    assert abs(determinant(u2)) != 1
     assert twist(make_u(), 1) == make_u()
     e82 = twist(make_e8(), 2)
     assert all(e82.gram[i][i] == -4 for i in range(8))
@@ -133,7 +133,7 @@ def test_lminus_structure():
 def test_lambda_structure():
     lam = resolve("Lambda")
     assert lam.rank == 22
-    assert is_even(lam) and is_unimodular(lam)
+    assert is_even(lam) and abs(determinant(lam)) == 1
     sig = signature(lam)
     assert (sig.positive, sig.negative) == (3, 19)
 
@@ -286,16 +286,18 @@ def test_fixed_builtins_are_nondegenerate():
                 assert abs(matrix.det(make_i(s, t).gram)) == 1
 
 
-def test_terms_are_lazy_and_outside_equality():
+def test_terms_are_derived_at_construction_and_outside_equality():
     gram = ((2, 0, -1), (0, 0, 0), (-1, 0, 4))
     lattice = Lattice("T", 3, gram)
-    assert not hasattr(lattice, "_terms")  # not derived at construction
-    assert not hasattr(lattice, "_upper_terms")
+    # set by __post_init__, as plain attributes rather than fields
+    assert {"terms", "upper_terms"} <= vars(lattice).keys()
+    assert {f.name for f in dataclasses.fields(lattice)} == {"name", "rank", "gram", "shape"}
     assert lattice.terms == [[(0, 2), (2, -1)], [], [(0, -1), (2, 4)]]
     assert lattice.upper_terms == [(0, 0, 2), (0, 2, -2), (2, 2, 4)]  # off-diagonal doubled
     twin = Lattice("T", 3, gram)
     assert lattice == twin and hash(lattice) == hash(twin) and repr(lattice) == repr(twin)
     assert "terms" not in repr(lattice)
+    assert dataclasses.replace(lattice, name="U").terms == lattice.terms
 
 
 def _dense_inertia(gram) -> Signature:
@@ -558,15 +560,16 @@ def test_split_proofs_run_one_elimination(monkeypatch):
     assert classify(vec(lminus, (0,) * 10 + (1, 5))).label is OrbitLabel.ODD
     assert classify(vec(resolve("U2U"), (0, 0, 1, 4))).label is OrbitLabel.EVEN_ORDINARY
 
-    # no half target is rebuilt per call; dilatation imports the constructor by name
+    # no half target is rebuilt per call, and each call proves its base once
     def refuse_build(base, name):
         raise AssertionError("base_plus_i11 was called")
 
-    monkeypatch.setattr(dilatation, "base_plus_i11", refuse_build)
+    monkeypatch.setattr(lattices, "base_plus_i11", refuse_build)
     for v in (vec(lminus, (0,) * 8 + (1, 1, 0, 0)), vec(resolve("U2U"), (0, 0, 2, 1))):
-        classify(v)
-        dilate(v)
-        is_even_type(v)
+        for call in (classify, dilate, is_even_type):
+            eliminated.clear()
+            call(v)
+            assert eliminated == [v.lattice.shape.base.gram], call
 
 
 def test_info_and_wall_congruence_run_one_elimination(monkeypatch):
@@ -611,10 +614,12 @@ def test_shape_tags():
     target = resolve("U_I11")
     assert target.shape is not None and target.shape.base == make_u()
     assert resolve("Lminus").shape.base.name == "E8_U"
-    # the tag carries its half target, but equality, hashing and repr read
-    # only the kind and the base
+    # a tag builds its half target when it is made, but equality, hashing and
+    # repr read only the kind and the base
     bare = lattices.SplitShape(lattices.TWISTED_PLUS_U, make_u())
-    assert u2u.shape.image is resolve("U_I11") and bare.image is None
+    assert u2u.shape.image is resolve("U_I11")
+    assert bare.image == resolve("U_I11") and bare.image is not resolve("U_I11")
+    assert lattices.SplitShape(lattices.BASE_PLUS_I11, make_u()).image is None
     assert u2u.shape == bare and hash(u2u.shape) == hash(bare) and repr(u2u.shape) == repr(bare)
     assert Lattice("U2U", 4, u2u.gram, bare) == u2u
     # the repr of a Lminus vector shows no image; the digest pins it byte for byte

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from lattice_orbits import jsonio, oracle
+from lattice_orbits import isometries, jsonio, oracle
 from lattice_orbits.enumeration import box_walk
 from lattice_orbits.errors import (
     LatticeError,
@@ -171,8 +171,7 @@ def test_connectivity_and_wall_pinned_digests():
     # suite documents as the CLI prints them, recorded before the walker change
     digest = hashlib.sha256()
     for value, bound in ((2, 3), (8, 3), (0, 2), (-4, 3)):
-        report = connectivity_experiment(U2U, value, bound, 7, 150)
-        doc = jsonio.suite_to_json(oracle.connectivity_to_suite(report))
+        doc = jsonio.suite_to_json(connectivity_experiment(U2U, value, bound, 7, 150))
         digest.update(json.dumps(doc).encode() + b"\n")
     assert digest.hexdigest() == "30d929305ac1801dc5aab57abf0fa08987877f998a378d61292b1d5bb12c5c35"
     digest = hashlib.sha256()
@@ -221,18 +220,20 @@ def test_invariance_suite_accepts_explicit_isometry():
 
 
 def test_connectivity_experiment_odd_norm():
-    report = connectivity_experiment(U2U, 2, 5, 42, 500)
-    assert report.mixed_label_components == 0
-    assert report.edges_applied == 500
-    labels = {lab for c in report.components for lab in c.labels_present}
+    result = connectivity_experiment(U2U, 2, 5, 42, 500)
+    assert (result.suite, result.status, result.counterexample) == ("connectivity", "pass", None)
+    stats = result.stats
+    assert stats["mixed_label_components"] == 0
+    assert stats["edges_applied"] == 500
+    labels = {lab for c in stats["components"] for lab in c["labels_present"]}
     assert labels == {"odd"}
-    assert any(c.contains_representative for c in report.components)
+    assert any(c["contains_representative"] for c in stats["components"])
 
 
 def test_connectivity_experiment_even_norm():
-    report = connectivity_experiment(U2U, 8, 5, 42, 500)
-    assert report.mixed_label_components == 0
-    labels = {lab for c in report.components for lab in c.labels_present}
+    stats = connectivity_experiment(U2U, 8, 5, 42, 500).stats
+    assert stats["mixed_label_components"] == 0
+    labels = {lab for c in stats["components"] for lab in c["labels_present"]}
     assert labels == {"even_characteristic", "even_ordinary"}
 
 
@@ -257,10 +258,25 @@ def test_negative_counts_are_refused(call):
     assert isinstance(info.value, LatticeError)
 
 
+def test_suite_word_budget_counts_words_times_their_length(monkeypatch):
+    # a word of length 0 or 1 counts one step; the budget itself still runs
+    monkeypatch.setattr(isometries, "SUITE_WORD_BUDGET", 12)
+    for words, length in ((12, 0), (12, 1), (6, 2), (3, 4)):
+        assert invariance_suite(U2U, words, 1, word_length=length).stats["checked"] == words
+        assert connectivity_experiment(U2U, 2, 1, 1, words, length).stats["edges_applied"] == words
+    for words, length in ((13, 0), (13, 1), (7, 2), (4, 4)):
+        message = f"^suites draw at most 12 generators in all, got {words} words of length {length}$"
+        with pytest.raises(LimitExceeded, match=message):
+            invariance_suite(U2U, words, 1, word_length=length)
+        with pytest.raises(LimitExceeded, match=message):
+            connectivity_experiment(U2U, 2, 1, 1, words, length)
+
+
 def test_connectivity_empty_scan():
-    report = connectivity_experiment(U2U, 3, 2, 1, 10)  # odd norm, even lattice
-    assert report.components == ()
-    assert report.mixed_label_components == 0
+    result = connectivity_experiment(U2U, 3, 2, 1, 10)  # odd norm, even lattice
+    assert result.status == "pass"
+    assert result.stats["components"] == [] and result.stats["vectors"] == 0
+    assert result.stats["mixed_label_components"] == 0
 
 
 def test_wall_scan():

@@ -17,7 +17,6 @@ from lattice_orbits.vectors import (
     LatticeVector,
     VectorType,
     characteristic_by_parity,
-    is_characteristic,
     is_primitive,
     norm,
     pair,
@@ -55,8 +54,8 @@ def test_pair():
 def test_vector_type_examples():
     assert vector_type(vec(LMINUS, (0,) * 8 + (1, 2, 0, 0))) is VectorType.CHARACTERISTIC
     assert vector_type(vec(LMINUS, (0,) * 10 + (1, 4))) is VectorType.ORDINARY
-    assert is_characteristic(vec(resolve("I_1_1"), (1, 1)))
-    assert not is_characteristic(vec(resolve("I_1_1"), (1, 0)))
+    assert vector_type(vec(resolve("I_1_1"), (1, 1))) is VectorType.CHARACTERISTIC
+    assert vector_type(vec(resolve("I_1_1"), (1, 0))) is VectorType.ORDINARY
 
 
 def test_characteristic_matches_quantified_definition():
