@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import jsonio
@@ -147,8 +148,10 @@ def _read_doc(path: str, stdin) -> dict:
         raise _UsageError(str(exc)) from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the 4,300-digit limit
         raise _UsageError(f"invalid JSON: {exc}") from None
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise _UsageError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, (dict, list)):
         raise _UsageError("expected a JSON object")
     return doc
@@ -376,7 +379,15 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit
+        # cannot fail again, and end with exit 1 and no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

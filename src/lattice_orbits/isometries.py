@@ -13,13 +13,13 @@ computing it, on the built-in lattices (every fixed built-in is nondegenerate
 and I_s_t has det +-1). Every other lattice, degenerate ones included, keeps
 the check.
 
-Random words are drawn from curated generator recipes per built-in lattice:
-reflections in short vectors (precomputed pools), hyperbolic block swaps,
-global negation, and (on even lattices) transvections along an isotropic basis
-vector of the unimodular hyperbolic block. Sampling is reproducible: the same
-seed and length give the same matrix. The pools of the four fixed recipe
-lattices are scanned once per name; an I_s_t pool is closed form, so entry k
-is worked out from k when it is drawn and nothing else is built.
+Random words are drawn only on the two lattices the suites sample, Lminus and
+U2U, each from a fixed generator recipe: reflections in short vectors (a pool
+scanned once per name), hyperbolic block swaps, global negation, and
+transvections along an isotropic basis vector of the unimodular U block.
+Every other lattice, I_s_t and the half targets included, is refused with
+NoGeneratorRecipe before anything is built. Sampling is reproducible: the
+same seed and length give the same matrix.
 
 A word is composed from checked generators and certified once, at the end.
 Each pool reflection is certified when it is built, as the rank-one update
@@ -55,7 +55,7 @@ from .errors import (
     OddLattice,
     RankMismatch,
 )
-from .lattices import I_NAME, Lattice, gram_vec, inner, is_builtin, is_even, resolve
+from .lattices import Lattice, gram_vec, inner, is_builtin, is_even, resolve
 from .vectors import LatticeVector
 
 
@@ -205,36 +205,19 @@ class _Recipe:
     definite_blocks: tuple[tuple[int, int], ...]
     # start indices of swappable hyperbolic blocks
     swap_blocks: tuple[int, ...]
-    # start index of the unimodular U block used for transvections, if any
-    transvection_block: int | None
+    # start index of the unimodular U block used for transvections
+    transvection_block: int
 
 
 _RECIPES = {
     "Lminus": _Recipe(((8, 9), (10, 11)), ((0, 8),), (8, 10), 10),
     "U2U": _Recipe(((0, 1), (2, 3)), (), (0, 2), 2),
-    "E8_U_I11": _Recipe(((8, 9), (10, 11)), ((0, 8),), (8,), None),
-    "U_I11": _Recipe(((0, 1), (2, 3)), (), (0,), None),
 }
-
-# I_s_t: reflections only, from the closed-form pool of _DiagonalPool
-_DIAGONAL_RECIPE = _Recipe((), (), (), None)
+# both recipes draw every kind; the order fixes which kind each draw picks
+_KINDS = ("reflection", "transvection", "swap", "negation")
 
 _REFLECTION_NORMS = (-1, 1, -2, 2, -4, 4)
 _POOL_BOX = 3
-
-
-def _recipe_for(lattice: Lattice) -> _Recipe:
-    if is_builtin(lattice):
-        known = _RECIPES.get(lattice.name)
-        if known is not None:
-            return known
-        if I_NAME.fullmatch(lattice.name):
-            return _DIAGONAL_RECIPE
-    raise NoGeneratorRecipe(f"no sampling recipe for lattice {lattice.name!r}")
-
-
-def _is_primitive_tuple(coords) -> bool:
-    return math.gcd(*coords) == 1
 
 
 def _reflection_candidates(lattice: Lattice, recipe: _Recipe):
@@ -298,89 +281,32 @@ def _certify_rank_one(lattice: Lattice, delta, coeffs) -> None:
         raise NotIsometry("matrix is not invertible over the integers")
 
 
-def _pool_entry(lattice: Lattice, delta: tuple[int, ...]) -> _PoolReflection:
-    coeffs = _reflection_coeffs(lattice, delta)
-    _certify_rank_one(lattice, delta, coeffs)  # the matrix the update stands for
-    return _PoolReflection(delta, ((_nonzero(-d for d in delta), _nonzero(coeffs)),))
-
-
-def _generator_pool(lattice: Lattice):
-    """Certified reflections for the lattice, deterministic order, sign-deduped.
-
-    A tuple for the fixed recipes; for I_s_t a _DiagonalPool, which builds
-    and certifies an entry each time it is indexed.
-    """
-    if _recipe_for(lattice) is _DIAGONAL_RECIPE:
-        return _DiagonalPool(lattice)
-    return _recipe_pool(lattice.name)
-
-
 @lru_cache(maxsize=len(_RECIPES))
 def _recipe_pool(name: str) -> tuple[_PoolReflection, ...]:
-    """The scanned pool of a fixed recipe lattice, kept once per recipe name."""
-    return _scan_pool(resolve(name), _RECIPES[name])
+    """Certified reflections in a recipe's candidates, deterministic order, sign-deduped.
 
-
-class _DiagonalPool:
-    """The pool of I_s_t in closed form, one per call; entry k worked out from k when drawn.
-
-    The basis vectors in order, then e_i + e_j and e_i - e_j for each i < j of
-    equal sign: the pool, in its order, that a scan of every one- and
-    two-coordinate window finds. Indexing decodes k into a unit vector or into
-    (i, j, sign) and builds and certifies that entry, so a word certifies only
-    the reflections it draws and holds none of the rest. len and indexing are
-    all that rng.choice uses, so the draws match those from the full tuple.
+    Scanned once per recipe name. Each entry is certified as the rank-one
+    update it is stored as.
     """
-
-    def __init__(self, lattice: Lattice):
-        n = lattice.rank
-        self.lattice = lattice
-        self.s = s = sum(lattice.gram[i][i] > 0 for i in range(n))
-        self.size = n + s * (s - 1) + (n - s) * (n - s - 1)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, k: int) -> _PoolReflection:
-        if not 0 <= k < self.size:  # IndexError past the end also ends iteration
-            raise IndexError(f"pool index {k} is not in range({self.size})")
-        n, s = self.lattice.rank, self.s
-        delta = [0] * n
-        if k < n:
-            delta[k] = 1
-        else:
-            pair, minus = divmod(k - n, 2)
-            i = 0
-            while pair >= (row := (s if i < s else n) - 1 - i):  # row i: its pairs (i, j) of equal sign
-                pair -= row
-                i += 1
-            delta[i] = 1
-            delta[i + 1 + pair] = -1 if minus else 1
-        return _pool_entry(self.lattice, tuple(delta))
-
-
-def _scan_pool(lattice: Lattice, recipe: _Recipe) -> tuple[_PoolReflection, ...]:
-    """Reflections in the recipe's window and definite-block candidates."""
+    lattice = resolve(name)
     pool = []
     seen = set()
-    for delta in _reflection_candidates(lattice, recipe):
-        if not _is_primitive_tuple(delta):
+    for delta in _reflection_candidates(lattice, _RECIPES[name]):
+        if math.gcd(*delta) != 1:  # also drops the zero vector
             continue
-        canonical = delta
-        for c in delta:
-            if c != 0:
-                if c < 0:
-                    canonical = tuple(-x for x in delta)
-                break
+        first = next(c for c in delta if c)
+        canonical = delta if first > 0 else tuple(-x for x in delta)
         if canonical in seen:
             continue
         seen.add(canonical)
         if inner(lattice, canonical, canonical) not in _REFLECTION_NORMS:
             continue
         try:
-            pool.append(_pool_entry(lattice, canonical))
+            coeffs = _reflection_coeffs(lattice, canonical)
         except (IsotropicReflectionVector, NotIntegralReflection):
             continue
+        _certify_rank_one(lattice, canonical, coeffs)  # the matrix the update stands for
+        pool.append(_PoolReflection(canonical, ((_nonzero(-d for d in canonical), _nonzero(coeffs)),)))
     return tuple(pool)
 
 
@@ -443,25 +369,20 @@ def sample_word(lattice: Lattice, seed: int, length: int) -> Isometry:
 
     The product is accumulated as mutable rows, one sparse update per step, and
     certified once when the Isometry is built. A length past MAX_WORD_LENGTH is
-    refused with LimitExceeded.
+    refused with LimitExceeded, and a lattice other than the built-in Lminus
+    and U2U with NoGeneratorRecipe, before any pool is scanned.
     """
     check_counts(length=length)
     check_word_length(length)
-    recipe = _recipe_for(lattice)
-    pool = _generator_pool(lattice)
-    kinds = []
-    if pool:
-        kinds.append("reflection")
-    if recipe.transvection_block is not None and is_even(lattice):
-        kinds.append("transvection")
-    if recipe.swap_blocks:
-        kinds.append("swap")
-    kinds.append("negation")
+    recipe = _RECIPES.get(lattice.name)
+    if recipe is None or not is_builtin(lattice):
+        raise NoGeneratorRecipe(f"no sampling recipe for lattice {lattice.name!r}")
+    pool = _recipe_pool(lattice.name)
     rng = random.Random(seed)
     word = [list(row) for row in intmat.identity(lattice.rank)]
     sign = 1  # -I commutes with every step, so the negations are applied once, at the end
     for _ in range(length):  # word <- step . word
-        kind = rng.choice(kinds)
+        kind = rng.choice(_KINDS)
         if kind == "reflection":
             _apply_update(word, rng.choice(pool).update)
         elif kind == "transvection":

@@ -48,8 +48,11 @@ def lattice_from_ref(ref) -> Lattice:
     if isinstance(ref, str):
         return resolve(ref)
     if isinstance(ref, dict):
+        rank = ref["rank"]
+        if not is_int(rank):
+            raise ValueError(f"rank must be an integer, got {rank!r}")
         gram = tuple(tuple(int_list(row, "gram entries")) for row in ref["gram"])
-        return Lattice(str(ref["name"]), int(ref["rank"]), gram)
+        return Lattice(str(ref["name"]), rank, gram)
     raise ValueError("lattice reference must be a name or an inline document")
 
 

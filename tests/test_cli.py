@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from referencing import Registry, Resource
 
@@ -276,6 +277,60 @@ def test_oracle_invariance_rejects_malformed_isometry_file(tmp_path, doc):
     )
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("rank", ["1e400", "1.5", "true", '"1"'])
+def test_inline_lattice_rank_must_be_a_json_integer(rank):
+    text = f'{{"lattice": {{"name": "x", "rank": {rank}, "gram": [[2]]}}, "coords": [1]}}'
+    code, out, err = run_cli(["classify", "--from-json", "-"], stdin_text=text)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad vector document: rank must be an integer, got ")
+
+
+_DEEP = "[" * 10**5  # the decoder recurses once per level, past the interpreter's limit
+
+
+@pytest.mark.parametrize("text", [_DEEP, _DEEP + "]" * 10**5, "[" + "1" * 5000 + "]"],
+                         ids=["unclosed", "closed", "5000-digit"])
+@pytest.mark.parametrize("flag", ["--from-json", "--isometry-json"])
+def test_unreadable_json_documents_are_usage_errors(flag, text):
+    command = "classify" if flag == "--from-json" else "oracle-invariance"
+    code, out, err = run_cli([command, flag, "-"], stdin_text=text)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid JSON: ")
+
+
+@pytest.mark.parametrize("argv", [["info", "--lattice", "U"], ["oracle-enumerate", "--lattice", "U2U", "--bound", "3"]],
+                         ids=["small", "past-the-buffer"])
+def test_a_closed_stdout_ends_with_exit_1_and_no_traceback(argv, package_env):
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "lattice_orbits", *argv],
+                              env=package_env, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_word_sampling_suites_reach_only_the_recipe_lattices():
+    # the suites refuse every lattice but a tagged base(2) + U one before their
+    # first word, so no argv reaches NoGeneratorRecipe
+    names = [name for name in lattices.builtin_names() if name != "I_s_t"] + ["I_2_1"]
+    sampled = []
+    for name in names:
+        for argv in (["oracle-invariance", f"--lattice={name}", "--samples=1"],
+                     ["oracle-connectivity", f"--lattice={name}", "--norm=2", "--bound=1", "--walks=10"]):
+            code, out, err = run_cli(argv)
+            assert code in (0, 2) and err == "", argv
+            doc = json.loads(out)
+            if code == 2:
+                check_schema(doc, "error.schema.json")
+                assert doc["error"] == "LatticeShapeMismatch", argv
+            else:
+                check_schema(doc, "suite_result.schema.json")
+                sampled.append(name)
+    assert sorted(set(sampled)) == sorted(isometries._RECIPES) == ["Lminus", "U2U"]
 
 
 @pytest.mark.parametrize(
@@ -752,6 +807,81 @@ def test_integer_flags_end_in_an_exit_code_and_a_valid_document(command, data):
     signal.alarm(_ALARM_S)
     try:
         code, out, err = run_cli(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert err == ""
+        check_schema(json.loads(out), "error.schema.json" if code == 2 else schema)
+
+
+# JSON fuzz: documents given to --from-json and --isometry-json, with huge,
+# non-finite and fractional numbers, deep nesting, empty and ragged matrices,
+# and I_s_t names just past MAX_I_RANK
+_JSON_INTS = st.sampled_from([0, 1, -1, 2, 4, 10**400, -(10**400)]) | st.integers(-3, 3)
+_JSON_NUMBERS = _JSON_INTS | st.sampled_from([1.5, 1e400, -1e400, float("nan"), 0.0, True, False])
+_JSON_SCALARS = st.none() | _JSON_NUMBERS | st.sampled_from(["", "1", "Lminus", "lattice"])
+_JSON_ANY = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["lattice", "coords", "matrix", "name", "rank", "gram"]), inner, max_size=4),
+    max_leaves=12,
+)
+_ROWS = st.lists(st.lists(_JSON_NUMBERS, max_size=5), max_size=5)  # empty and ragged too
+_SQUARE = st.sampled_from([4, 4, 0, 1, 2, 5]).flatmap(
+    lambda n: st.lists(st.lists(_JSON_INTS, min_size=n, max_size=n), min_size=n, max_size=n))
+_U2U_ISOMETRIES = st.sampled_from([  # the identity, -1 and the two hyperbolic swaps
+    [[int(i == j) for j in range(4)] for i in range(4)],
+    [[-int(i == j) for j in range(4)] for i in range(4)],
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+])
+_NAMES = st.sampled_from(["Lminus", "U2U", "U", "E8_U_I11", "I_2_1", f"I_{lattices.MAX_I_RANK + 1}_0",
+                          f"I_0_{lattices.MAX_I_RANK + 1}", f"I_500_{lattices.MAX_I_RANK - 499}", "nope"])
+_INLINE = st.fixed_dictionaries({"name": _NAMES | _JSON_SCALARS, "rank": _JSON_NUMBERS,
+                                 "gram": _ROWS | _SQUARE | _JSON_ANY})
+_COORD_LISTS = st.lists(_JSON_NUMBERS, max_size=13) | st.sampled_from([4, 12]).flatmap(
+    lambda n: st.lists(_JSON_INTS, min_size=n, max_size=n))
+_VECTOR_DOCS = (
+    st.fixed_dictionaries({"lattice": _NAMES | _INLINE | _JSON_ANY, "coords": _COORD_LISTS | _JSON_ANY})
+    | st.fixed_dictionaries({"coords": _COORD_LISTS})
+)
+_MATRICES = _U2U_ISOMETRIES | _SQUARE | _ROWS
+_MATRIX_DOCS = _MATRICES | st.lists(_MATRICES, max_size=3) | st.fixed_dictionaries({"matrix": _MATRICES | _JSON_ANY})
+# every flag runs each of these texts as an explicit example
+_RAW_TEXTS = ["", "[", "{}", "null", "1", "[]", "[[]]", "[" * 10**5, "[" * 10**5 + "]" * 10**5,
+              "[" + "9" * 5000 + "]", "NaN", "Infinity", '{"coords": [1e999]}',
+              '{"lattice": {"name": "x", "rank": 1e400, "gram": [[2]]}, "coords": [1]}']
+_JSON_FUZZ = {  # flag -> (the argv before the document, the document strategy, the schema on exit 0 or 3)
+    "--from-json": (["classify", "--lattice=U2U"], _VECTOR_DOCS, "classification_report.schema.json"),
+    "--isometry-json": (["oracle-invariance", "--lattice=U2U", "--samples=1"], _MATRIX_DOCS,
+                        "suite_result.schema.json"),
+}
+_JSON_CASES = st.sampled_from(sorted(_JSON_FUZZ)).flatmap(
+    lambda flag: st.tuples(st.just(flag), (_JSON_FUZZ[flag][1] | _JSON_ANY).map(json.dumps)))
+
+
+def _with_raw_texts(test):
+    for flag in sorted(_JSON_FUZZ):
+        for text in _RAW_TEXTS:
+            test = example(case=(flag, text))(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.generate])  # no shrinking: a slow example would repeat
+@given(case=_JSON_CASES)
+@_with_raw_texts
+def test_json_inputs_end_in_an_exit_code_and_a_valid_document(case):
+    flag, text = case
+    prefix, _, schema = _JSON_FUZZ[flag]
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(_ALARM_S)
+    try:
+        code, out, err = run_cli([*prefix, flag, "-"], stdin_text=text)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -32,7 +32,7 @@ from lattice_orbits.isometries import (
     sample_word,
     transvection,
 )
-from lattice_orbits.lattices import Lattice, inner, is_even, make_i, resolve
+from lattice_orbits.lattices import Lattice, inner, resolve, twisted_plus_u
 from lattice_orbits.matrix import det, freeze, mat_mul, mat_vec, transpose
 from lattice_orbits.matrix import identity as eye
 from lattice_orbits.vectors import VectorType, is_primitive, norm, pair, vec, vector_type
@@ -155,7 +155,7 @@ def test_compose_contracts():
 
 
 def test_sample_word_determinism():
-    for name in ("Lminus", "U2U", "I_2_2", "U_I11", "E8_U_I11"):
+    for name in ("Lminus", "U2U"):
         lattice = resolve(name)
         assert sample_word(lattice, 0, 0).matrix == eye(lattice.rank)
         a = sample_word(lattice, 99, 8)
@@ -165,7 +165,7 @@ def test_sample_word_determinism():
 
 def test_sample_word_certifies_everywhere():
     rng = random.Random(41)
-    for name in ("Lminus", "U2U", "I_2_2", "U_I11", "E8_U_I11", "I_1_2"):
+    for name in ("Lminus", "U2U"):
         lattice = resolve(name)
         for _ in range(100):
             word = sample_word(lattice, rng.randrange(2**32), 8)
@@ -181,11 +181,17 @@ def test_sample_word_mixes_vectors():
     assert len(seen) > 5
 
 
-def test_no_recipe():
-    with pytest.raises(NoGeneratorRecipe):
-        sample_word(resolve("Lambda"), 1, 3)
-    with pytest.raises(NoGeneratorRecipe):
-        sample_word(resolve("E8"), 1, 3)
+def test_no_recipe(monkeypatch):
+    def refuse(name):
+        raise AssertionError("a generator pool was scanned")
+
+    monkeypatch.setattr(isometries, "_recipe_pool", refuse)
+    refused = [resolve(name) for name in ("Lambda", "E8", "I_2_2", "E8_U_I11", "U_I11")]
+    refused.append(twisted_plus_u(resolve("U"), name="V2V"))  # tagged like U2U, but not a built-in
+    refused.append(twisted_plus_u(resolve("U"), name="Lminus"))  # a recipe name on another lattice
+    for lattice in refused:
+        with pytest.raises(NoGeneratorRecipe, match=f"^no sampling recipe for lattice '{lattice.name}'$"):
+            sample_word(lattice, 1, 3)
 
 
 def test_sample_word_rejects_negative_length():
@@ -197,10 +203,10 @@ def test_sample_word_refuses_a_word_past_the_cap_before_any_work(monkeypatch):
     u2u = resolve("U2U")
     assert sample_word(u2u, 1, MAX_WORD_LENGTH).lattice == u2u  # the cap itself runs
 
-    def refuse(lattice):
+    def refuse(name):
         raise AssertionError("the generator pool was built")
 
-    monkeypatch.setattr(isometries, "_generator_pool", refuse)
+    monkeypatch.setattr(isometries, "_recipe_pool", refuse)
     with pytest.raises(LimitExceeded, match=r"^isometry words hold at most 10000 generators, got 10001$"):
         sample_word(LMINUS, 1, MAX_WORD_LENGTH + 1)
 
@@ -211,10 +217,6 @@ def test_sample_word_refuses_a_word_past_the_cap_before_any_work(monkeypatch):
 PINNED_WORD_DIGESTS = {
     "Lminus": "bc198cb38342549b8d6e7c3eb4c07eb99cba66725d7c0a4cccefc6e784df4e44",
     "U2U": "b55a8d4ed5f8309d033869861df8eca432e4ad2e7de65616a2bc13a030ef64be",
-    "U_I11": "3cea26b5c43b3a27de37d770e7eaae8423494e74da062efb9d0fc37afe0d230e",
-    "E8_U_I11": "feb023b59c874970dad6d08412a746011df6f9e6b38a0e17eec094b504914ab0",
-    "I_2_2": "3db915436893b0b712025b9b121704d6eda74bc51e117f12aa4bc2db273ae8c6",
-    "I_1_2": "f0c131c754550a5e1bb98e2ecbefdc3d4b117b6703627203d437c0e37dd01e4a",
 }
 
 
@@ -234,16 +236,9 @@ def dense_word(lattice, seed, length):
     Draws the RNG in the same order as sample_word: the kind, then the pool
     entry, the transvection's (which, x) or the swap block.
     """
-    recipe = isometries._recipe_for(lattice)
-    pool = [reflection(lattice, entry.delta) for entry in isometries._generator_pool(lattice)]
-    kinds = []
-    if pool:
-        kinds.append("reflection")
-    if recipe.transvection_block is not None and is_even(lattice):
-        kinds.append("transvection")
-    if recipe.swap_blocks:
-        kinds.append("swap")
-    kinds.append("negation")
+    recipe = isometries._RECIPES[lattice.name]
+    pool = [reflection(lattice, entry.delta) for entry in isometries._recipe_pool(lattice.name)]
+    kinds = ("reflection", "transvection", "swap", "negation")
     rng = random.Random(seed)
     n = lattice.rank
     word = identity(lattice)
@@ -292,51 +287,6 @@ def test_warm_sample_word_certifies_once(monkeypatch):
         certified.clear()
         word = sample_word(LMINUS, seed, length)
         assert certified == [word]
-
-
-@pytest.mark.parametrize(
-    "name, seed, length, size",
-    [("I_12_8", 3, 8, 20 + 2 * (12 * 11 // 2 + 8 * 7 // 2)), ("I_2_1", 5, 40, 3 + 2)],
-)
-def test_warm_i_s_t_word_certifies_only_its_draws(monkeypatch, name, seed, length, size):
-    lattice = resolve(name)
-    before = sample_word(lattice, seed, length)  # warms every cache a word may use
-    pools = []
-    drawn = []
-    certified = []
-    post_init = Isometry.__post_init__
-
-    class RecordedPool(isometries._DiagonalPool):
-        def __init__(self, lattice):
-            super().__init__(lattice)
-            pools.append(self)
-
-        def __getitem__(self, k):
-            entry = super().__getitem__(k)
-            drawn.append(entry)
-            return entry
-
-    rank_one = isometries._certify_rank_one
-
-    def counted(self):
-        certified.append(self)
-        post_init(self)
-
-    def counted_rank_one(lattice, delta, coeffs):
-        certified.append(delta)
-        rank_one(lattice, delta, coeffs)
-
-    monkeypatch.setattr(isometries, "_DiagonalPool", RecordedPool)
-    monkeypatch.setattr(Isometry, "__post_init__", counted)
-    monkeypatch.setattr(isometries, "_certify_rank_one", counted_rank_one)
-    word = sample_word(lattice, seed, length)
-    assert word == before
-    [pool] = pools
-    assert len(pool) == size
-    # one rank-one certification per reflection drawn, in draw order, then the word itself
-    assert 0 < len(drawn) <= length
-    assert len(certified) == len(drawn) + 1 and certified[-1] is word
-    assert certified[:-1] == [entry.delta for entry in drawn]
 
 
 def test_corrupt_sparse_step_is_refused(monkeypatch):
@@ -436,46 +386,27 @@ def test_sparse_forms_agree_with_dense_definitions(case):
     assert accepted is _dense_isometry(g, m)
 
 
-def test_diagonal_pool_matches_the_window_scan():
-    for s in range(5):
-        for t in range(5):
-            if s + t == 0:
-                continue
-            lattice = make_i(s, t)
-            idx = range(s + t)
-            windows = tuple((i,) for i in idx) + tuple((i, j) for i in idx for j in idx if i < j)
-            scanned = isometries._scan_pool(lattice, isometries._Recipe(windows, (), (), None))
-            assert tuple(isometries._generator_pool(lattice)) == scanned, (s, t)
-
-
-def test_diagonal_pool_refuses_indices_outside_it():
-    pool = isometries._generator_pool(make_i(2, 1))
-    assert len(pool) == 3 + 2
-    for k in (-1, len(pool)):
-        with pytest.raises(IndexError):
-            pool[k]
-
-
 def test_i_s_t_word_holds_no_pool():
-    # an I_s_t pool is worked out per draw; writing down its O(n^2) deltas of n ints each
-    # peaked at 29 MB traced on this rank
+    # I_s_t has no recipe, so a word on a large one is refused before anything is built
     lattice = resolve("I_150_0")
     tracemalloc.start()
     try:
-        sample_word(lattice, 0, 1)
+        with pytest.raises(NoGeneratorRecipe):
+            sample_word(lattice, 0, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 10**6
+    assert peak < 10**5
 
 
 def test_pools_are_kept_per_recipe_name_only():
-    for s in range(1, 5):
-        sample_word(make_i(s, 1), 0, 3)
+    for name in ("I_2_1", "U_I11", "E8_U_I11"):
+        with pytest.raises(NoGeneratorRecipe):
+            sample_word(resolve(name), 0, 3)
     for name in isometries._RECIPES:
         sample_word(resolve(name), 0, 1)
     info = isometries._recipe_pool.cache_info()
-    assert info.currsize == info.maxsize == len(isometries._RECIPES)
+    assert info.currsize == info.maxsize == len(isometries._RECIPES) == 2
 
 
 def _rank_one_rows(delta, coeffs):
@@ -492,36 +423,23 @@ def _entry_coeffs(entry, n):
     return coeffs
 
 
-def _pool_entries(monkeypatch):
-    """(lattice, entry) for every entry of the four recipe pools and the I_12_8 entries words draw."""
-    cases = [(resolve(name), entry) for name in sorted(isometries._RECIPES)
-             for entry in isometries._recipe_pool(name)]
-    drawn = []
-
-    class RecordedPool(isometries._DiagonalPool):
-        def __getitem__(self, k):
-            entry = super().__getitem__(k)
-            drawn.append(entry)
-            return entry
-
-    monkeypatch.setattr(isometries, "_DiagonalPool", RecordedPool)
-    lattice = resolve("I_12_8")
-    for seed in range(10):
-        sample_word(lattice, seed, 8)
-    return cases + [(lattice, entry) for entry in drawn]
+def _pool_entries():
+    """(lattice, entry) for every entry of the two recipe pools."""
+    return [(resolve(name), entry) for name in sorted(isometries._RECIPES)
+            for entry in isometries._recipe_pool(name)]
 
 
-def test_rank_one_certificate_agrees_with_dense_reflection(monkeypatch):
-    cases = _pool_entries(monkeypatch)
-    assert len(cases) > 124 + 4 + 124 + 4 + 10
+def test_rank_one_certificate_agrees_with_dense_reflection():
+    cases = _pool_entries()
+    assert len(cases) == 124 + 4
     for lattice, entry in cases:
         coeffs = _entry_coeffs(entry, lattice.rank)
         isometries._certify_rank_one(lattice, entry.delta, coeffs)
         assert reflection(lattice, entry.delta).matrix == _rank_one_rows(entry.delta, coeffs)
 
 
-def test_rank_one_certificate_refuses_a_corrupted_entry(monkeypatch):
-    for lattice, entry in _pool_entries(monkeypatch):
+def test_rank_one_certificate_refuses_a_corrupted_entry():
+    for lattice, entry in _pool_entries():
         n = lattice.rank
         delta, coeffs = entry.delta, _entry_coeffs(entry, n)
         k = next(i for i in range(n) if coeffs[i])
