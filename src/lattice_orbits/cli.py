@@ -26,6 +26,7 @@ from .orbits import (
     even_witness,
     heegner_range,
     is_even_type,
+    norm_labels,
     representative,
 )
 from .vectors import norm, vec
@@ -189,12 +190,12 @@ def _cmd_rep(args, stdin):
     if (args.norm is None) == (args.n is None):
         raise _UsageError("rep needs exactly one of --norm or --n")
     value = args.norm if args.norm is not None else 2 * args.n
-    if args.label is None:
-        if (value // 2) % 2 == 0:
-            raise _UsageError("--class is required when n is even (two orbits exist)")
-        label = OrbitLabel.ODD
-    else:
+    if args.label is not None:
         label = _LABELS[args.label]
+    elif len(norm_labels(value)) > 1:
+        raise _UsageError("--class is required when n is even (two orbits exist)")
+    else:
+        label = OrbitLabel.ODD  # the one label of odd n; representative refuses an odd norm
     rep = representative(value, label, resolve(args.lattice))
     return jsonio.vector_to_json(rep), 0
 
@@ -238,10 +239,14 @@ def _cmd_heegner(args, stdin):
     }, 0
 
 
-def _load_matrices(path: str, stdin):
+def _load_matrices(path: str, stdin, lattice_name: str):
+    """The matrices of an --isometry-json file: a bare matrix, a list of them, or
+    a document {"matrix"} whose optional "lattice", checked after the matrices,
+    must resolve to the --lattice lattice."""
     doc = _read_doc(path, stdin)
-    if isinstance(doc, dict) and "matrix" in doc:
-        doc = [doc["matrix"]]
+    document = doc if isinstance(doc, dict) and "matrix" in doc else None
+    if document is not None:
+        doc = [document["matrix"]]
     if not isinstance(doc, list):
         raise _UsageError("isometry file must hold a matrix or a list of matrices")
     if doc and isinstance(doc[0], list) and doc[0] and is_int(doc[0][0]):
@@ -250,7 +255,20 @@ def _load_matrices(path: str, stdin):
         if not (isinstance(m, list)
                 and all(isinstance(row, list) and all(map(is_int, row)) for row in m)):
             raise _UsageError("each isometry must be a list of integer rows")
+    if document is not None and "lattice" in document:
+        claimed = document["lattice"]
+        if not isinstance(claimed, str):
+            raise _UsageError("isometry document's lattice must be a built-in lattice name")
+        if not _resolves_to(claimed, resolve(lattice_name)):
+            raise _UsageError(f"isometry document is for lattice {claimed!r}, not --lattice {lattice_name!r}")
     return doc
+
+
+def _resolves_to(name: str, lattice) -> bool:
+    try:
+        return resolve(name) == lattice
+    except LatticeError:  # a name resolve refuses names no lattice
+        return False
 
 
 def _suite(result):
@@ -263,7 +281,7 @@ def _suite(result):
 def _cmd_oracle_invariance(args, stdin):
     from . import oracle
 
-    matrices = _load_matrices(args.isometry_json, stdin) if args.isometry_json else None
+    matrices = _load_matrices(args.isometry_json, stdin, args.lattice) if args.isometry_json else None
     return _suite(oracle.invariance_suite(
         resolve(args.lattice), args.samples, args.seed, args.bound, args.word_length, matrices
     ))

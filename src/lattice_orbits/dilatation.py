@@ -91,18 +91,6 @@ def is_integral(h: HalfVector) -> bool:
     return all(d % 2 == 0 for d in h.doubled_coords)
 
 
-def double(h: HalfVector) -> LatticeVector:
-    """Twice the half vector, always an honest vector of base + I_1_1."""
-    return LatticeVector(h.base, h.doubled_coords)
-
-
-def integral_image(h: HalfVector) -> LatticeVector:
-    """The half vector as an honest vector of base + I_1_1; integral images only."""
-    if not is_integral(h):
-        raise NotInHalfLattice("image has half-integral coordinates")
-    return LatticeVector(h.base, tuple(d // 2 for d in h.doubled_coords))
-
-
 def half_norm(h: HalfVector) -> int:
     """Quadratic form value of the half vector; an integer for every valid one."""
     quadruple = inner(h.base, h.doubled_coords, h.doubled_coords)

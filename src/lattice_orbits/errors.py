@@ -38,10 +38,6 @@ class NotUnimodular(LatticeError):
     pass
 
 
-class NotCharacteristic(LatticeError):
-    pass
-
-
 class NotInHalfLattice(LatticeError):
     pass
 

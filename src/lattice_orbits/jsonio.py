@@ -16,7 +16,6 @@ from .matrix import is_int
 from .vectors import LatticeVector
 
 if TYPE_CHECKING:
-    from .isometries import Isometry
     from .oracle import BoxScan, SuiteResult
     from .orbits import ClassificationReport, HeegnerReport, WitnessResult
 
@@ -71,18 +70,6 @@ def half_to_json(h: HalfVector) -> dict:
 def half_from_json(doc: dict) -> HalfVector:
     base = resolve(str(doc["base"]))
     return HalfVector(base, int_list(doc["doubled_coords"], "doubled_coords"))
-
-
-def isometry_to_json(g: Isometry) -> dict:
-    return {"lattice": lattice_ref(g.lattice), "matrix": [list(row) for row in g.matrix]}
-
-
-def isometry_from_json(doc: dict) -> Isometry:
-    from .isometries import certify
-
-    lattice = lattice_from_ref(doc["lattice"])
-    rows = [int_list(row, "matrix entries") for row in doc["matrix"]]
-    return certify(lattice, rows)  # refuses anything that is not an isometry
 
 
 def classification_to_json(report: ClassificationReport) -> dict:

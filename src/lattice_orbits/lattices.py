@@ -239,11 +239,6 @@ def signature_and_determinant(lattice: Lattice) -> tuple[Signature, int]:
     return sig, int(math.prod(pivots))
 
 
-def determinant(lattice: Lattice) -> int:
-    """Product of the pivots; see signature_and_determinant."""
-    return signature_and_determinant(lattice)[1]
-
-
 def is_even(lattice: Lattice) -> bool:
     """True when every vector has even norm; equivalent to an even diagonal."""
     return all(lattice.gram[i][i] % 2 == 0 for i in range(lattice.rank))
@@ -287,49 +282,34 @@ I_NAME = re.compile(r"I_(\d+)_(\d+)")
 MAX_I_RANK = 1000
 
 
-def _i_counts(m: re.Match) -> tuple[int, int]:
-    """(s, t) of a matched I_s_t name, refused past MAX_I_RANK before anything is built."""
-    s, t = (digits.lstrip("0") or "0" for digits in m.groups())
-    # five digits are already past the bound, so int() never reads a long string
-    if len(s) > 4 or len(t) > 4 or int(s) + int(t) > MAX_I_RANK:
-        raise RankMismatch(f"I_s_t lattices need s + t <= {MAX_I_RANK}")
-    return int(s), int(t)
-
-
 def resolve(name: str) -> Lattice:
     """Look up a built-in lattice by name ("U", "E8_2", "I_2_3", "Lminus", ...).
 
-    Fixed names give the same value on every call; I_s_t is built on each call.
+    Fixed names give the same value on every call; I_s_t is built on each
+    call, and refused past MAX_I_RANK before anything is built.
     """
     found = _BUILTINS.get(name)
     if found is not None:
         return found
     m = I_NAME.fullmatch(name)
-    if m:
-        return make_i(*_i_counts(m))
-    raise UnknownLattice(f"no built-in lattice named {name!r}")
+    if m is None:
+        raise UnknownLattice(f"no built-in lattice named {name!r}")
+    s, t = (digits.lstrip("0") or "0" for digits in m.groups())
+    # five digits are already past the bound, so int() never reads a long string
+    if len(s) > 4 or len(t) > 4 or int(s) + int(t) > MAX_I_RANK:
+        raise RankMismatch(f"I_s_t lattices need s + t <= {MAX_I_RANK}")
+    return make_i(int(s), int(t))
 
 
 def is_builtin(lattice: Lattice) -> bool:
     """True when resolve gives this lattice back for its own name.
 
-    An I_s_t name is checked without building make_i(s, t): the name must be
-    the canonical one (no leading zeros), the rank s + t, no shape tag, and
-    row i of the terms the one entry (i, 1) for i < s and (i, -1) after.
+    An I_s_t name is built to compare, as resolve builds it on every call.
     """
-    m = I_NAME.fullmatch(lattice.name)
     try:
-        if m is None:
-            return resolve(lattice.name) == lattice
-        s, t = _i_counts(m)
+        return resolve(lattice.name) == lattice
     except LatticeError:  # unknown names, and I_s_t names resolve refuses
         return False
-    return (
-        s + t == lattice.rank
-        and lattice.name == f"I_{s}_{t}"
-        and lattice.shape is None
-        and all(row == [(i, 1 if i < s else -1)] for i, row in enumerate(lattice.terms))
-    )
 
 
 def builtin_domain(image: Lattice) -> Lattice | None:

@@ -26,10 +26,6 @@ def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def transpose(m: IntMatrix) -> IntMatrix:
-    return tuple(zip(*m)) if m else ()
-
-
 def is_symmetric(m: IntMatrix) -> bool:
     return all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i))
 

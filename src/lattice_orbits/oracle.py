@@ -28,17 +28,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from .enumeration import box_range, box_walk, check_budget, check_counts, definite_vectors
-from .errors import (
-    LabelParityMismatch,
-    LatticeShapeMismatch,
-    LimitExceeded,
-    NotUnimodular,
-    OddNormInEvenLattice,
-    ZeroVector,
-)
+from .errors import LatticeShapeMismatch, LimitExceeded, NotUnimodular, ZeroVector
 from .isometries import apply, certify, check_word_budget, sample_word
 from .lattices import TWISTED_PLUS_U, Lattice, quadratic, resolve, signature_and_determinant, split_base
-from .orbits import OrbitLabel, classify, representative
+from .orbits import classify, norm_labels, representative
 from .vectors import LatticeVector, VectorType, norm, vector_type, vectors_of
 
 # hits kept per box scan, about 24 MB of vectors on U2U: an unfiltered U2U scan
@@ -213,11 +206,11 @@ def connectivity_experiment(
                 parent[find(v.coords)] = find(w.coords)
                 edges_kept += 1
     reps = set()
-    for label in OrbitLabel:
+    for label in norm_labels(norm):
         try:
             reps.add(representative(norm, label, lattice).coords)
-        except (LabelParityMismatch, LatticeShapeMismatch, OddNormInEvenLattice):
-            continue  # no representative means the label cannot occur at this norm
+        except LatticeShapeMismatch:
+            continue  # a base that does not end in a hyperbolic block has no characteristic one
     groups = {}
     for coords in labels:
         groups.setdefault(find(coords), set()).add(coords)
@@ -251,7 +244,7 @@ def connectivity_experiment(
 def wall_scan(s: int, t: int, bound: int) -> SuiteResult:
     """Every characteristic vector in the box of I_s_t must have norm = s - t mod 8."""
     lattice = resolve(f"I_{s}_{t}")
-    # wall_congruence_holds per vector, with its lattice checks done once
+    # Wall's congruence per vector, with its lattice checks done once
     sig, det = signature_and_determinant(lattice)
     if abs(det) != 1:
         raise NotUnimodular(f"{lattice.name} has |det| != 1")

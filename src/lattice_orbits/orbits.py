@@ -108,6 +108,19 @@ def classify(v: LatticeVector) -> ClassificationReport:
     return ClassificationReport(v, value, half, True, vtype, integral, label)
 
 
+def norm_labels(value: int) -> tuple[OrbitLabel, ...]:
+    """The labels a primitive vector of norm `value` can carry.
+
+    None for an odd norm, which no vector of an even lattice has; odd for odd
+    n = value / 2; characteristic and ordinary, in that order, for even n.
+    """
+    if value % 2 != 0:
+        return ()
+    if (value // 2) % 2 != 0:
+        return (OrbitLabel.ODD,)
+    return (OrbitLabel.EVEN_CHARACTERISTIC, OrbitLabel.EVEN_ORDINARY)
+
+
 def representative(value: int, label: OrbitLabel, lattice: Lattice | None = None) -> LatticeVector:
     """Canonical primitive vector of the given norm and label.
 
@@ -117,12 +130,13 @@ def representative(value: int, label: OrbitLabel, lattice: Lattice | None = None
     """
     lattice = lattice if lattice is not None else resolve("Lminus")
     base = split_base(lattice, TWISTED_PLUS_U)
-    if value % 2 != 0:
+    labels = norm_labels(value)
+    if not labels:
         raise OddNormInEvenLattice(f"norm {value} is impossible in an even lattice")
     half = value // 2
-    if label is OrbitLabel.ODD and half % 2 == 0:
-        raise LabelParityMismatch(f"norm {value} has even n = {half}, not an odd orbit")
-    if label is not OrbitLabel.ODD and half % 2 != 0:
+    if label not in labels:
+        if label is OrbitLabel.ODD:
+            raise LabelParityMismatch(f"norm {value} has even n = {half}, not an odd orbit")
         raise LabelParityMismatch(f"norm {value} has odd n = {half}, only the odd label fits")
     r = base.rank
     coords = [0] * lattice.rank
@@ -221,13 +235,8 @@ def even_witness(v: LatticeVector) -> WitnessResult:
 
 def heegner_report(n: int) -> HeegnerReport:
     """Orbit components of the degree-n locus: one for odd n, two for even n."""
-    labels = (
-        (OrbitLabel.ODD,)
-        if n % 2 != 0
-        else (OrbitLabel.EVEN_CHARACTERISTIC, OrbitLabel.EVEN_ORDINARY)
-    )
     comps = tuple(
-        HeegnerComponent(lab, representative(2 * n, lab)) for lab in labels
+        HeegnerComponent(lab, representative(2 * n, lab)) for lab in norm_labels(2 * n)
     )
     return HeegnerReport(n, 2 * n, comps)
 

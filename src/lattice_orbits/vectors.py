@@ -14,16 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 
-from .errors import NotCharacteristic, NotUnimodular, RankMismatch, ZeroVector
-from .lattices import (
-    BASE_PLUS_I11,
-    Lattice,
-    gram_vec,
-    inner,
-    quadratic,
-    signature_and_determinant,
-    split_base,
-)
+from .errors import RankMismatch, ZeroVector
+from .lattices import Lattice, gram_vec, inner, quadratic
 
 
 class VectorType(Enum):
@@ -107,28 +99,3 @@ def vector_type(v: LatticeVector) -> VectorType:
         if (gv - gram[i][i]) % 2 != 0:
             return VectorType.ORDINARY
     return VectorType.CHARACTERISTIC
-
-
-def characteristic_by_parity(v: LatticeVector) -> bool:
-    """Parity shortcut on base + I_1_1 lattices.
-
-    With an even unimodular leading block, a vector is characteristic exactly
-    when its two trailing coordinates are odd and every leading coordinate is
-    even. Unimodularity matters: it makes "gram * a even" equivalent to
-    "a even" for the leading block.
-    """
-    r = split_base(v.lattice, BASE_PLUS_I11).rank
-    leading_even = all(c % 2 == 0 for c in v.coords[:r])
-    trailing_odd = v.coords[r] % 2 != 0 and v.coords[r + 1] % 2 != 0
-    return leading_even and trailing_odd
-
-
-def wall_congruence_holds(v: LatticeVector) -> bool:
-    """Wall's congruence: a characteristic vector of a unimodular lattice has
-    norm = (s - t) mod 8 for signature (s, t)."""
-    sig, det = signature_and_determinant(v.lattice)
-    if abs(det) != 1:
-        raise NotUnimodular(f"{v.lattice.name} has |det| != 1")
-    if vector_type(v) is not VectorType.CHARACTERISTIC:
-        raise NotCharacteristic("congruence is only claimed for characteristic vectors")
-    return (norm(v) - (sig.positive - sig.negative)) % 8 == 0

@@ -18,7 +18,8 @@ from lattice_orbits.dilatation import HalfVector, half_target
 from lattice_orbits.errors import LatticeShapeMismatch
 from lattice_orbits.lattices import resolve
 from lattice_orbits.orbits import OrbitLabel, classify, is_even_type, representative
-from lattice_orbits.vectors import characteristic_by_parity, vec
+from lattice_orbits.vectors import vec
+from support import characteristic_by_parity
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -145,6 +146,17 @@ def test_rep_validation():
     code, out, _ = run_cli(["rep", "--norm", "7", "--class", "odd"])
     assert code == 2
     assert json.loads(out)["error"] == "OddNormInEvenLattice"
+
+
+@pytest.mark.parametrize("value", ["5", "7", "9", "-3"])
+def test_rep_of_an_odd_norm_without_a_class_is_a_domain_error(value):
+    # (value // 2) is even for 5, 9 and -3; the label rule is orbits.norm_labels,
+    # which admits no label for any odd norm
+    code, out, err = run_cli(["rep", "--norm", value])
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    check_schema(doc, "error.schema.json")
+    assert doc == {"error": "OddNormInEvenLattice", "message": f"norm {value} is impossible in an even lattice"}
 
 
 def test_phi():
@@ -277,6 +289,47 @@ def test_oracle_invariance_rejects_malformed_isometry_file(tmp_path, doc):
     )
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+_EYE4 = [[int(i == j) for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "doc, extra",
+    [
+        (_EYE4, 1),  # a bare matrix
+        ([], 0),  # a list of matrices
+        ([_EYE4, [[-x for x in row] for row in _EYE4]], 2),
+        ({"matrix": _EYE4}, 1),  # an isometry document
+        ({"lattice": "U2U", "matrix": _EYE4}, 1),
+    ],
+    ids=["bare", "empty-list", "list", "document", "named-document"],
+)
+def test_isometry_json_forms_match_the_schema(doc, extra):
+    check_schema(doc, "isometry.schema.json")
+    code, out, err = run_cli(["oracle-invariance", "--lattice", "U2U", "--samples", "1", "--isometry-json", "-"],
+                             stdin_text=json.dumps(doc))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["stats"]["extra_isometries"] == extra
+
+
+@pytest.mark.parametrize(
+    "claimed, message",
+    [
+        ("Lminus", "isometry document is for lattice 'Lminus', not --lattice 'U2U'"),
+        ("nope", "isometry document is for lattice 'nope', not --lattice 'U2U'"),
+        ("I_2_2", "isometry document is for lattice 'I_2_2', not --lattice 'U2U'"),
+        (None, "isometry document's lattice must be a built-in lattice name"),
+    ],
+)
+def test_isometry_document_for_another_lattice_is_refused(claimed, message):
+    # the identity certifies on U2U, so only the lattice key refuses it
+    text = json.dumps({"lattice": claimed, "matrix": _EYE4})
+    code, out, err = run_cli(["oracle-invariance", "--lattice", "U2U", "--samples", "1", "--isometry-json", "-"],
+                             stdin_text=text)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    if claimed is not None:
+        check_schema(json.loads(text), "isometry.schema.json")  # well formed; the contradiction is the fault
 
 
 @pytest.mark.parametrize("rank", ["1e400", "1.5", "true", '"1"'])
@@ -850,7 +903,8 @@ _VECTOR_DOCS = (
     | st.fixed_dictionaries({"coords": _COORD_LISTS})
 )
 _MATRICES = _U2U_ISOMETRIES | _SQUARE | _ROWS
-_MATRIX_DOCS = _MATRICES | st.lists(_MATRICES, max_size=3) | st.fixed_dictionaries({"matrix": _MATRICES | _JSON_ANY})
+_MATRIX_DOCS = _MATRICES | st.lists(_MATRICES, max_size=3) | st.fixed_dictionaries(
+    {"matrix": _MATRICES | _JSON_ANY}, optional={"lattice": _NAMES | _JSON_ANY})
 # every flag runs each of these texts as an explicit example
 _RAW_TEXTS = ["", "[", "{}", "null", "1", "[]", "[[]]", "[" * 10**5, "[" * 10**5 + "]" * 10**5,
               "[" + "9" * 5000 + "]", "NaN", "Infinity", '{"coords": [1e999]}',

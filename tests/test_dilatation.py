@@ -12,10 +12,8 @@ from lattice_orbits.dilatation import (
     HalfVector,
     dilate,
     dilate_inverse,
-    double,
     half_norm,
     half_target,
-    integral_image,
     is_integral,
 )
 from lattice_orbits.errors import LatticeShapeMismatch, NotInHalfLattice, RankMismatch
@@ -36,12 +34,12 @@ from lattice_orbits.lattices import (
 from lattice_orbits.orbits import OrbitLabel, classify
 from lattice_orbits.vectors import (
     VectorType,
-    characteristic_by_parity,
     is_primitive,
     norm,
     vec,
     vector_type,
 )
+from support import characteristic_by_parity, double, integral_image
 
 LMINUS = resolve("Lminus")
 U2U = resolve("U2U")

@@ -18,8 +18,9 @@ from lattice_orbits.enumeration import (
 from lattice_orbits.errors import BoxTooLarge, LatticeError, LatticeShapeMismatch, NegativeCount
 from lattice_orbits.isometries import sample_word
 from lattice_orbits.lattices import Lattice, inner, resolve
-from lattice_orbits.matrix import det, ldl, mat_mul, transpose
+from lattice_orbits.matrix import det, ldl, mat_mul
 from lattice_orbits.oracle import enumerate_primitive, wall_scan
+from support import transpose
 
 
 def test_box_walk_order_and_count():

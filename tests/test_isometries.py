@@ -33,9 +33,10 @@ from lattice_orbits.isometries import (
     transvection,
 )
 from lattice_orbits.lattices import Lattice, inner, resolve, twisted_plus_u
-from lattice_orbits.matrix import det, freeze, mat_mul, mat_vec, transpose
+from lattice_orbits.matrix import det, freeze, mat_mul, mat_vec
 from lattice_orbits.matrix import identity as eye
 from lattice_orbits.vectors import VectorType, is_primitive, norm, pair, vec, vector_type
+from support import transpose
 
 LMINUS = resolve("Lminus")
 

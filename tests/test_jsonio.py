@@ -4,8 +4,7 @@ import pytest
 
 from lattice_orbits import jsonio
 from lattice_orbits.dilatation import HalfVector, dilate
-from lattice_orbits.errors import NotIsometry, UnknownLattice
-from lattice_orbits.isometries import block_swap, negation
+from lattice_orbits.errors import UnknownLattice
 from lattice_orbits.lattices import Lattice, direct_sum, make_u, resolve
 from lattice_orbits.oracle import enumerate_primitive, wall_scan
 from lattice_orbits.orbits import classify, even_witness, heegner_report
@@ -53,15 +52,6 @@ def test_half_round_trip():
     doc = jsonio.half_to_json(h)
     assert doc == {"base": "E8_U_I11", "doubled_coords": [0] * 10 + [5, -3]}
     assert jsonio.half_from_json(doc) == h
-
-
-def test_isometry_round_trip_certifies():
-    g = block_swap(LMINUS, 10)
-    doc = jsonio.isometry_to_json(g)
-    assert jsonio.isometry_from_json(doc).matrix == g.matrix
-    doc["matrix"][0][0] = 5
-    with pytest.raises(NotIsometry):
-        jsonio.isometry_from_json(doc)
 
 
 def test_classification_document_key_order():
@@ -117,7 +107,6 @@ def test_json_documents_serialize():
         jsonio.classification_to_json(classify(vec(LMINUS, (0,) * 10 + (1, 3)))),
         jsonio.heegner_to_json(heegner_report(0)),
         jsonio.suite_to_json(wall_scan(1, 1, 2)),
-        jsonio.isometry_to_json(negation(LMINUS)),
     ]
     for doc in docs:
         assert json.loads(json.dumps(doc)) == doc

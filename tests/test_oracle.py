@@ -16,7 +16,7 @@ from lattice_orbits.errors import (
     ZeroVector,
 )
 from lattice_orbits.isometries import negation
-from lattice_orbits.lattices import inner, resolve
+from lattice_orbits.lattices import inner, make_e8, resolve, twisted_plus_u
 from lattice_orbits.oracle import (
     E8_MIN_NORM,
     EXPECTED_E8_COUNTS,
@@ -277,6 +277,19 @@ def test_connectivity_empty_scan():
     assert result.status == "pass"
     assert result.stats["components"] == [] and result.stats["vectors"] == 0
     assert result.stats["mixed_label_components"] == 0
+
+
+def test_connectivity_on_a_base_without_a_trailing_u_keeps_its_ordinary_representative():
+    # E8 does not end in a hyperbolic block, so no characteristic representative
+    # exists; the ordinary one still marks its component
+    lattice = twisted_plus_u(make_e8(), name="E8_2U")
+    stats = connectivity_experiment(lattice, 0, 1, 1, 0).stats
+    assert stats["component_count"] == stats["vectors"] == 4
+    assert [c["labels_present"] for c in stats["components"] if c["contains_representative"]] == [["even_ordinary"]]
+    stats = connectivity_experiment(lattice, -4, 1, 1, 0).stats
+    characteristic = [c for c in stats["components"] if c["labels_present"] == ["even_characteristic"]]
+    assert characteristic and stats["component_count"] == stats["vectors"]
+    assert not any(c["contains_representative"] for c in stats["components"])
 
 
 def test_wall_scan():

@@ -413,6 +413,26 @@ def test_heegner_reports():
     assert heegner_range(3, 2) == ()
 
 
+def test_norm_labels_is_the_one_label_rule():
+    assert orbits.norm_labels(5) == orbits.norm_labels(9) == orbits.norm_labels(-3) == ()
+    assert orbits.norm_labels(10) == orbits.norm_labels(-2) == (OrbitLabel.ODD,)
+    even = (OrbitLabel.EVEN_CHARACTERISTIC, OrbitLabel.EVEN_ORDINARY)
+    assert orbits.norm_labels(8) == orbits.norm_labels(0) == orbits.norm_labels(-4) == even
+    for n in range(-6, 7):
+        assert tuple(c.label for c in heegner_report(n).components) == orbits.norm_labels(2 * n)
+
+
+def test_every_classify_label_in_a_u2u_box_is_admitted_by_its_norm():
+    seen = set()
+    for coords in box_walk([range(-3, 4)] * 4):
+        if math.gcd(*coords) != 1:
+            continue
+        report = classify(vec(U2U, coords))
+        assert report.label in orbits.norm_labels(report.norm), coords
+        seen.add(report.label)
+    assert seen == set(OrbitLabel)
+
+
 def test_heegner_range_is_bounded_before_any_report(monkeypatch):
     built = []
     monkeypatch.setattr(orbits, "heegner_report", lambda n, lattice=None: built.append(n))

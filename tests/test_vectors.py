@@ -7,7 +7,6 @@ import pytest
 
 from lattice_orbits.errors import (
     LatticeShapeMismatch,
-    NotCharacteristic,
     NotUnimodular,
     RankMismatch,
     ZeroVector,
@@ -16,15 +15,14 @@ from lattice_orbits.lattices import inner, resolve
 from lattice_orbits.vectors import (
     LatticeVector,
     VectorType,
-    characteristic_by_parity,
     is_primitive,
     norm,
     pair,
     vec,
     vector_type,
     vectors_of,
-    wall_congruence_holds,
 )
+from support import NotCharacteristic, characteristic_by_parity, wall_congruence_holds
 
 LMINUS = resolve("Lminus")
 
