@@ -18,7 +18,7 @@ import sys
 from . import jsonio
 from .dilatation import dilate, dilate_inverse
 from .errors import LatticeError, LimitExceeded
-from .lattices import builtin_names, is_even, resolve, signature_and_determinant
+from .lattices import builtin_names, is_builtin, is_even, resolve, signature_and_determinant
 from .matrix import is_int
 from .orbits import (
     OrbitLabel,
@@ -247,28 +247,24 @@ def _load_matrices(path: str, stdin, lattice_name: str):
     document = doc if isinstance(doc, dict) and "matrix" in doc else None
     if document is not None:
         doc = [document["matrix"]]
-    if not isinstance(doc, list):
+    elif not isinstance(doc, list):
         raise _UsageError("isometry file must hold a matrix or a list of matrices")
-    if doc and isinstance(doc[0], list) and doc[0] and is_int(doc[0][0]):
+    elif doc and _is_matrix(doc):
         doc = [doc]  # a single bare matrix
-    for m in doc:
-        if not (isinstance(m, list)
-                and all(isinstance(row, list) and all(map(is_int, row)) for row in m)):
-            raise _UsageError("each isometry must be a list of integer rows")
+    if not all(map(_is_matrix, doc)):
+        raise _UsageError("each isometry must be a list of integer rows")
     if document is not None and "lattice" in document:
         claimed = document["lattice"]
         if not isinstance(claimed, str):
             raise _UsageError("isometry document's lattice must be a built-in lattice name")
-        if not _resolves_to(claimed, resolve(lattice_name)):
+        if not is_builtin(resolve(lattice_name), claimed):
             raise _UsageError(f"isometry document is for lattice {claimed!r}, not --lattice {lattice_name!r}")
     return doc
 
 
-def _resolves_to(name: str, lattice) -> bool:
-    try:
-        return resolve(name) == lattice
-    except LatticeError:  # a name resolve refuses names no lattice
-        return False
+def _is_matrix(doc) -> bool:
+    """A list whose every entry is a list of ints, the JSON form of one matrix."""
+    return isinstance(doc, list) and all(isinstance(row, list) and all(map(is_int, row)) for row in doc)
 
 
 def _suite(result):

@@ -29,7 +29,7 @@ from .lattices import (
     Lattice,
     _check_split_base,
     builtin_domain,
-    inner,
+    quadratic,
     split_base,
 )
 from .vectors import LatticeVector
@@ -93,7 +93,7 @@ def is_integral(h: HalfVector) -> bool:
 
 def half_norm(h: HalfVector) -> int:
     """Quadratic form value of the half vector; an integer for every valid one."""
-    quadruple = inner(h.base, h.doubled_coords, h.doubled_coords)
+    quadruple = quadratic(h.base, h.doubled_coords)
     if quadruple % 4 != 0:
         raise NotInHalfLattice("form value is not integral")  # unreachable on valid input
     return quadruple // 4

@@ -98,6 +98,10 @@ class BoxTooLarge(LatticeError):
     pass
 
 
+class NotInteger(LatticeError):
+    """A rank, Gram entry or coordinate that is not an int (matrix.is_int)."""
+
+
 class LimitExceeded(LatticeError):
     """A request past a fixed work cap other than the box walk budget."""
 

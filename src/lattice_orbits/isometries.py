@@ -16,10 +16,11 @@ the check.
 Random words are drawn only on the two lattices the suites sample, Lminus and
 U2U, each from a fixed generator recipe: reflections in short vectors (a pool
 scanned once per name), hyperbolic block swaps, global negation, and
-transvections along an isotropic basis vector of the unimodular U block.
-Every other lattice, I_s_t and the half targets included, is refused with
-NoGeneratorRecipe before anything is built. Sampling is reproducible: the
-same seed and length give the same matrix.
+transvections along an isotropic basis vector of the unimodular U block,
+each block read off the split tag (_blocks). Every other lattice, I_s_t and
+the half targets included, is refused with NoGeneratorRecipe before anything
+is built. Sampling is reproducible: the same seed and length give the same
+matrix.
 
 A word is composed from checked generators and certified once, at the end.
 Each pool reflection is certified when it is built, as the rank-one update
@@ -55,7 +56,8 @@ from .errors import (
     OddLattice,
     RankMismatch,
 )
-from .lattices import Lattice, gram_vec, inner, is_builtin, is_even, resolve
+from .lattices import Lattice, gram_vec, is_builtin, is_even, quadratic, resolve
+from .matrix import require_ints
 from .vectors import LatticeVector
 
 
@@ -125,7 +127,7 @@ def _reflection_coeffs(lattice: Lattice, delta: tuple[int, ...]) -> list[int]:
     """2<e_i, delta>/<delta, delta> for every basis vector e_i, checked integral."""
     if len(delta) != lattice.rank:
         raise RankMismatch(f"expected {lattice.rank} coordinates")
-    nd = inner(lattice, delta, delta)
+    nd = quadratic(lattice, delta)
     if nd == 0:
         raise IsotropicReflectionVector("cannot reflect in an isotropic vector")
     coeffs = []
@@ -145,7 +147,8 @@ def reflection(lattice: Lattice, delta) -> Isometry:
     w -> w - (2<w, delta>/<delta, delta>) delta. Integrality is checked against
     every basis vector before the matrix is assembled.
     """
-    delta = tuple(int(x) for x in delta)
+    delta = tuple(delta)
+    require_ints(delta, "each coordinate")
     coeffs = _reflection_coeffs(lattice, delta)
     rows = tuple(
         tuple((1 if r == cidx else 0) - coeffs[cidx] * delta[r] for cidx in range(lattice.rank))
@@ -175,8 +178,8 @@ def transvection(lattice: Lattice, e, x) -> Isometry:
     Needs an even lattice, isotropic e, and x orthogonal to e; then the matrix
     is integral and certifies.
     """
-    e = tuple(int(c) for c in e)
-    x = tuple(int(c) for c in x)
+    e, x = tuple(e), tuple(x)
+    require_ints(e + x, "each coordinate")
     ge, gx, half = _transvection_terms(lattice, e, x)
     rows = tuple(
         tuple(
@@ -197,36 +200,35 @@ def block_swap(lattice: Lattice, start: int) -> Isometry:
     return Isometry(lattice, intmat.freeze(rows))
 
 
-@dataclass(frozen=True)
-class _Recipe:
-    # coordinate windows scanned with a box of 3 for reflection vectors
-    windows: tuple[tuple[int, ...], ...]
-    # (start, stop) definite blocks whose short vectors are enumerated exactly
-    definite_blocks: tuple[tuple[int, int], ...]
-    # start indices of swappable hyperbolic blocks
-    swap_blocks: tuple[int, ...]
-    # start index of the unimodular U block used for transvections
-    transvection_block: int
-
-
-_RECIPES = {
-    "Lminus": _Recipe(((8, 9), (10, 11)), ((0, 8),), (8, 10), 10),
-    "U2U": _Recipe(((0, 1), (2, 3)), (), (0, 2), 2),
-}
-# both recipes draw every kind; the order fixes which kind each draw picks
+# the built-ins the suites sample; every other lattice has no generator recipe
+_SAMPLED = ("Lminus", "U2U")
+# both lattices draw every kind; the order fixes which kind each draw picks
 _KINDS = ("reflection", "transvection", "swap", "negation")
 
 _REFLECTION_NORMS = (-1, 1, -2, 2, -4, 4)
 _POOL_BOX = 3
 
 
-def _reflection_candidates(lattice: Lattice, recipe: _Recipe):
+def _blocks(lattice: Lattice):
+    """(windows, definite blocks, swap starts, transvection start), read off the tag.
+
+    With r the base rank, U(2) and U start at r - 2 and r (both sampled bases
+    end in U): each is a reflection window and a swap, and transvections run
+    along U. The leading r - 2 coordinates, E8(2) on Lminus, are definite.
+    """
+    r = lattice.shape.base.rank
+    definite = ((0, r - 2),) if r > 2 else ()
+    return ((r - 2, r - 1), (r, r + 1)), definite, (r - 2, r), r
+
+
+def _reflection_candidates(lattice: Lattice):
     n = lattice.rank
     values = range(-_POOL_BOX, _POOL_BOX + 1)
-    for window in recipe.windows:
+    windows, definite, _, _ = _blocks(lattice)
+    for window in windows:
         axes = [values if i in window else (0,) for i in range(n)]
         yield from filter(any, box_walk(axes))
-    for start, stop in recipe.definite_blocks:
+    for start, stop in definite:
         block = Lattice(
             f"{lattice.name}[{start}:{stop}]",
             stop - start,
@@ -281,17 +283,17 @@ def _certify_rank_one(lattice: Lattice, delta, coeffs) -> None:
         raise NotIsometry("matrix is not invertible over the integers")
 
 
-@lru_cache(maxsize=len(_RECIPES))
+@lru_cache(maxsize=len(_SAMPLED))
 def _recipe_pool(name: str) -> tuple[_PoolReflection, ...]:
-    """Certified reflections in a recipe's candidates, deterministic order, sign-deduped.
+    """Certified reflections in a sampled lattice's candidates, deterministic order, sign-deduped.
 
-    Scanned once per recipe name. Each entry is certified as the rank-one
+    Scanned once per sampled name. Each entry is certified as the rank-one
     update it is stored as.
     """
     lattice = resolve(name)
     pool = []
     seen = set()
-    for delta in _reflection_candidates(lattice, _RECIPES[name]):
+    for delta in _reflection_candidates(lattice):
         if math.gcd(*delta) != 1:  # also drops the zero vector
             continue
         first = next(c for c in delta if c)
@@ -299,7 +301,7 @@ def _recipe_pool(name: str) -> tuple[_PoolReflection, ...]:
         if canonical in seen:
             continue
         seen.add(canonical)
-        if inner(lattice, canonical, canonical) not in _REFLECTION_NORMS:
+        if quadratic(lattice, canonical) not in _REFLECTION_NORMS:
             continue
         try:
             coeffs = _reflection_coeffs(lattice, canonical)
@@ -374,10 +376,10 @@ def sample_word(lattice: Lattice, seed: int, length: int) -> Isometry:
     """
     check_counts(length=length)
     check_word_length(length)
-    recipe = _RECIPES.get(lattice.name)
-    if recipe is None or not is_builtin(lattice):
+    if lattice.name not in _SAMPLED or not is_builtin(lattice):
         raise NoGeneratorRecipe(f"no sampling recipe for lattice {lattice.name!r}")
     pool = _recipe_pool(lattice.name)
+    _, _, swaps, transvection_start = _blocks(lattice)
     rng = random.Random(seed)
     word = [list(row) for row in intmat.identity(lattice.rank)]
     sign = 1  # -I commutes with every step, so the negations are applied once, at the end
@@ -386,9 +388,9 @@ def sample_word(lattice: Lattice, seed: int, length: int) -> Isometry:
         if kind == "reflection":
             _apply_update(word, rng.choice(pool).update)
         elif kind == "transvection":
-            _apply_update(word, _random_transvection(lattice, recipe.transvection_block, rng))
+            _apply_update(word, _random_transvection(lattice, transvection_start, rng))
         elif kind == "swap":
-            s = rng.choice(recipe.swap_blocks)
+            s = rng.choice(swaps)
             word[s], word[s + 1] = word[s + 1], word[s]
         else:
             sign = -sign

@@ -1,7 +1,8 @@
 """Integral lattices as integer Gram matrices.
 
 A lattice here is a free Z-module of finite rank with a fixed basis and a
-symmetric integer Gram matrix; all arithmetic is exact. Direct sums concatenate
+symmetric integer Gram matrix; all arithmetic is exact, and a rank or Gram
+entry that is not an int is refused with NotInteger. Direct sums concatenate
 coordinates left to right, so the built-in "Lminus" = E8(2) + U(2) + U keeps its
 E8(2) block at indices 0..7, the twisted hyperbolic block at 8..9 and the
 unimodular hyperbolic block at 10..11.
@@ -15,7 +16,7 @@ built-in "E8_U_I11" and "U_I11" are the images carried by Lminus and U2U.
 
 The fixed built-ins are plain values made once at import; `resolve` hands them
 out and builds I_s_t lattices on each call, and `is_builtin` is the one test of
-whether a lattice is what `resolve` gives for its name.
+whether a lattice is what `resolve` gives for a name, by default its own.
 
 Each lattice also carries its nonzero Gram terms, derived from the matrix when
 it is built. Lminus has 26 nonzero entries out of 144, so form evaluations run
@@ -73,10 +74,15 @@ class Lattice:
     shape: SplitShape | None = None
 
     def __post_init__(self):
+        matrix.require_ints((self.rank,), "the lattice rank")
         if self.rank <= 0:
             raise EmptyLattice("lattice rank must be positive")
-        if len(self.gram) != self.rank or any(len(row) != self.rank for row in self.gram):
+        if len(self.gram) != self.rank:
             raise RankMismatch(f"gram matrix is not {self.rank}x{self.rank}")
+        for row in self.gram:
+            if len(row) != self.rank:
+                raise RankMismatch(f"gram matrix is not {self.rank}x{self.rank}")
+            matrix.require_ints(row, "each gram entry")
         if not matrix.is_symmetric(self.gram):
             raise LatticeShapeMismatch("gram matrix is not symmetric")
         # Derived here and set outside the fields, so equality, hashing and repr
@@ -202,7 +208,7 @@ def base_plus_i11(base: Lattice, name: str) -> Lattice:
 
 
 def inner(lattice: Lattice, v, w) -> int:
-    """Bilinear form value for two coordinate tuples."""
+    """Bilinear form value for two checked coordinate tuples; norms use `quadratic`."""
     if len(v) != lattice.rank or len(w) != lattice.rank:
         raise RankMismatch(f"expected {lattice.rank} coordinates")
     return sum([x * g * w[j] for x, row in zip(v, lattice.terms) if x for j, g in row])
@@ -212,9 +218,9 @@ def quadratic(lattice: Lattice, c) -> int:
     """c^T G c for a coordinate tuple of length rank; the one norm formula.
 
     Runs over the upper-triangle terms, so each off-diagonal product is
-    computed once. The caller guarantees the length, as a LatticeVector does;
-    `inner` is the checked form of the same value. A plain loop: on Python
-    3.11 it beats sum() over a comprehension by about half on U2U.
+    computed once. The caller guarantees the length, as a LatticeVector does.
+    A plain loop: on Python 3.11 it beats sum() over a comprehension by about
+    half on U2U.
     """
     total = 0
     for i, j, k in lattice.upper_terms:
@@ -265,7 +271,6 @@ def _builtins() -> dict[str, Lattice]:
         "E8_2": e8_2,
         "Lminus": lminus,
         "Lambda": Lattice("Lambda", body.rank, body.gram),
-        "B_U": u,  # alias: the hyperbolic plane in its role as a rank-2 base
         "U2U": u2u,
         "Lplus": direct_sum(e8_2, u2, name="Lplus"),
         "U_I11": u2u.shape.image,
@@ -301,13 +306,13 @@ def resolve(name: str) -> Lattice:
     return make_i(int(s), int(t))
 
 
-def is_builtin(lattice: Lattice) -> bool:
-    """True when resolve gives this lattice back for its own name.
+def is_builtin(lattice: Lattice, name: str | None = None) -> bool:
+    """True when resolve gives this lattice back for `name`, by default its own.
 
     An I_s_t name is built to compare, as resolve builds it on every call.
     """
     try:
-        return resolve(lattice.name) == lattice
+        return resolve(lattice.name if name is None else name) == lattice
     except LatticeError:  # unknown names, and I_s_t names resolve refuses
         return False
 

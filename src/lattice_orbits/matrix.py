@@ -8,18 +8,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import NotInteger
+
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 
 
 def is_int(x) -> bool:
-    """True for an int that is not a bool; the test applied to outside input."""
+    """True for an int that is not a bool; the one integer test, at every door."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def require_ints(values, what: str) -> None:
+    """Refuse, with NotInteger, a sequence holding a value is_int refuses."""
+    if not all(map(is_int, values)):
+        bad = next(x for x in values if not is_int(x))
+        raise NotInteger(f"{what} must be an integer, got {bad!r}")
+
+
 def freeze(rows) -> IntMatrix:
-    """Copy a row iterable into an immutable integer matrix."""
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """Copy a row iterable into an immutable matrix; the entries are not converted."""
+    return tuple(map(tuple, rows))
 
 
 def identity(n: int) -> IntMatrix:

@@ -90,11 +90,10 @@ def classify(v: LatticeVector) -> ClassificationReport:
     base = split_base(v.lattice, TWISTED_PLUS_U)
     _require_primitive(v)
     value = norm(v)
-    half = value // 2  # the lattice is even, so this is exact
     b1, b2 = v.coords[base.rank], v.coords[base.rank + 1]
     vtype = vector_type(v)
     integral = is_integral(dilate(v))
-    if half % 2 != 0:
+    if norm_labels(value) == (OrbitLabel.ODD,):
         label = OrbitLabel.ODD
     else:
         char = vtype is VectorType.CHARACTERISTIC
@@ -105,7 +104,7 @@ def classify(v: LatticeVector) -> ClassificationReport:
                 f"criteria split on {v.coords}: {char}, {both_even}, {integral}"
             )
         label = OrbitLabel.EVEN_CHARACTERISTIC if char else OrbitLabel.EVEN_ORDINARY
-    return ClassificationReport(v, value, half, True, vtype, integral, label)
+    return ClassificationReport(v, value, value // 2, True, vtype, integral, label)
 
 
 def norm_labels(value: int) -> tuple[OrbitLabel, ...]:
@@ -210,7 +209,7 @@ def even_witness(v: LatticeVector) -> WitnessResult:
         raise LatticeShapeMismatch("even-type witnesses are defined on Lminus")
     _require_primitive(v)
     value = norm(v)
-    if (value // 2) % 2 != 0:
+    if norm_labels(value) == (OrbitLabel.ODD,):
         raise EvenTypeUndefinedForOddN(f"norm {value} is not divisible by 4")
     e, (u1, u2), (b1, b2) = list(v.coords[:8]), v.coords[8:10], v.coords[10:]
     if b1 % 2 != 0 or b2 % 2 != 0:

@@ -16,6 +16,7 @@ from itertools import repeat
 
 from .errors import RankMismatch, ZeroVector
 from .lattices import Lattice, gram_vec, inner, quadratic
+from .matrix import require_ints
 
 
 class VectorType(Enum):
@@ -26,6 +27,9 @@ class VectorType(Enum):
 @dataclass(frozen=True, slots=True)
 class LatticeVector:
     """Slotted, with one hand-written __init__; box scans build theirs in bulk.
+
+    The trusted raw constructor, as `vectors_of` is: it checks the rank, not
+    that the entries are ints; `vec` refuses a non-int coordinate.
 
     __init__ checks the rank and writes both fields through their slot
     descriptors' setters, bound once below the class, instead of looking each
@@ -72,7 +76,10 @@ def vectors_of(lattice: Lattice, coords) -> tuple[LatticeVector, ...]:
 
 
 def vec(lattice: Lattice, coords) -> LatticeVector:
-    return LatticeVector(lattice, tuple(int(c) for c in coords))
+    """The vector with these coordinates; a non-int one is refused with NotInteger."""
+    coords = tuple(coords)
+    require_ints(coords, "each coordinate")
+    return LatticeVector(lattice, coords)
 
 
 def norm(v: LatticeVector) -> int:

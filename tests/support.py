@@ -12,6 +12,16 @@ from lattice_orbits.matrix import IntMatrix
 from lattice_orbits.vectors import LatticeVector, VectorType, norm, vector_type
 
 
+# The sampled lattices and their generator blocks, written out by hand:
+# (reflection windows, definite blocks, swap starts, transvection start).
+# isometries reads them off the split tag; tests that redraw a word or walk
+# the pools read them here, so the reference does not lean on the code.
+SAMPLING_BLOCKS = {
+    "Lminus": (((8, 9), (10, 11)), ((0, 8),), (8, 10), 10),
+    "U2U": (((0, 1), (2, 3)), (), (0, 2), 2),
+}
+
+
 class NotCharacteristic(LatticeError):
     pass
 

@@ -19,7 +19,7 @@ from lattice_orbits.errors import LatticeShapeMismatch
 from lattice_orbits.lattices import resolve
 from lattice_orbits.orbits import OrbitLabel, classify, is_even_type, representative
 from lattice_orbits.vectors import vec
-from support import characteristic_by_parity
+from support import SAMPLING_BLOCKS, characteristic_by_parity
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -314,6 +314,27 @@ def test_isometry_json_forms_match_the_schema(doc, extra):
 
 
 @pytest.mark.parametrize(
+    "doc, code, error",
+    [
+        ([[], [1]], 2, "NotIsometry"),  # one bare matrix: every entry is a list of ints
+        ([[]], 2, "NotIsometry"),
+        ([[1.0]], 1, None),  # 1.0 is a schema integer, but the reader takes only ints
+    ],
+)
+def test_isometry_json_edge_documents_match_the_schema_and_the_reader(doc, code, error):
+    check_schema(doc, "isometry.schema.json")
+    out_code, out, err = run_cli(
+        ["oracle-invariance", "--lattice", "U2U", "--samples", "1", "--isometry-json", "-"],
+        stdin_text=json.dumps(doc),
+    )
+    assert out_code == code
+    if error is None:
+        assert (out, err) == ("", "error: each isometry must be a list of integer rows\n")
+    else:
+        assert err == "" and json.loads(out)["error"] == error
+
+
+@pytest.mark.parametrize(
     "claimed, message",
     [
         ("Lminus", "isometry document is for lattice 'Lminus', not --lattice 'U2U'"),
@@ -383,7 +404,7 @@ def test_word_sampling_suites_reach_only_the_recipe_lattices():
             else:
                 check_schema(doc, "suite_result.schema.json")
                 sampled.append(name)
-    assert sorted(set(sampled)) == sorted(isometries._RECIPES) == ["Lminus", "U2U"]
+    assert sorted(set(sampled)) == sorted(SAMPLING_BLOCKS) == ["Lminus", "U2U"]
 
 
 @pytest.mark.parametrize(

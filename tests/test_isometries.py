@@ -13,6 +13,7 @@ from lattice_orbits.errors import (
     LimitExceeded,
     NegativeCount,
     NoGeneratorRecipe,
+    NotInteger,
     NotIntegralReflection,
     NotIsometry,
     NotIsotropic,
@@ -36,7 +37,7 @@ from lattice_orbits.lattices import Lattice, inner, resolve, twisted_plus_u
 from lattice_orbits.matrix import det, freeze, mat_mul, mat_vec
 from lattice_orbits.matrix import identity as eye
 from lattice_orbits.vectors import VectorType, is_primitive, norm, pair, vec, vector_type
-from support import transpose
+from support import SAMPLING_BLOCKS, transpose
 
 LMINUS = resolve("Lminus")
 
@@ -83,6 +84,21 @@ def test_reflection_preconditions():
         reflection(LMINUS, (0,) * 10 + (1, 0))
     with pytest.raises(NotIntegralReflection):
         reflection(resolve("U"), (1, 2))
+
+
+def test_generators_refuse_non_integer_coordinates():
+    # before, reflection(U, (1.7, -1.2)) reflected in (1, -1)
+    u = resolve("U")
+    with pytest.raises(NotInteger, match="^each coordinate must be an integer, got 1.7$"):
+        reflection(u, (1.7, -1.2))
+    with pytest.raises(NotInteger, match="^each coordinate must be an integer, got True$"):
+        reflection(u, (True, -1))
+    e = (0,) * 10 + (1, 0)
+    with pytest.raises(NotInteger, match="^each coordinate must be an integer, got 1.0$"):
+        transvection(LMINUS, e[:10] + (1.0, 0), (0,) * 12)
+    with pytest.raises(NotInteger, match="^each coordinate must be an integer, got '1'$"):
+        transvection(LMINUS, e, ("1",) + (0,) * 11)
+    assert reflection(u, [1, -1]).matrix == ((0, 1), (1, 0))  # any int sequence still reads
 
 
 def test_reflection_is_involution():
@@ -237,7 +253,7 @@ def dense_word(lattice, seed, length):
     Draws the RNG in the same order as sample_word: the kind, then the pool
     entry, the transvection's (which, x) or the swap block.
     """
-    recipe = isometries._RECIPES[lattice.name]
+    _, _, swaps, transvection_start = SAMPLING_BLOCKS[lattice.name]
     pool = [reflection(lattice, entry.delta) for entry in isometries._recipe_pool(lattice.name)]
     kinds = ("reflection", "transvection", "swap", "negation")
     rng = random.Random(seed)
@@ -248,7 +264,7 @@ def dense_word(lattice, seed, length):
         if kind == "reflection":
             step = rng.choice(pool)
         elif kind == "transvection":
-            start = recipe.transvection_block
+            start = transvection_start
             which = rng.choice((0, 1))
             e = [0] * n
             e[start + which] = 1
@@ -256,7 +272,7 @@ def dense_word(lattice, seed, length):
             x[start + 1 - which] = 0
             step = transvection(lattice, e, x)
         elif kind == "swap":
-            step = block_swap(lattice, rng.choice(recipe.swap_blocks))
+            step = block_swap(lattice, rng.choice(swaps))
         else:
             step = negation(lattice)
         word = compose(step, word)
@@ -404,10 +420,29 @@ def test_pools_are_kept_per_recipe_name_only():
     for name in ("I_2_1", "U_I11", "E8_U_I11"):
         with pytest.raises(NoGeneratorRecipe):
             sample_word(resolve(name), 0, 3)
-    for name in isometries._RECIPES:
+    for name in SAMPLING_BLOCKS:
         sample_word(resolve(name), 0, 1)
     info = isometries._recipe_pool.cache_info()
-    assert info.currsize == info.maxsize == len(isometries._RECIPES) == 2
+    assert info.currsize == info.maxsize == len(SAMPLING_BLOCKS) == 2
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLING_BLOCKS))
+def test_blocks_read_off_the_tag_match_the_pinned_literals(name):
+    assert isometries._blocks(resolve(name)) == SAMPLING_BLOCKS[name]
+
+
+def test_sampling_reads_its_blocks_only_off_the_tag(monkeypatch):
+    # the pool scan and the word draws both ask _blocks; a second table of
+    # block indices would leave one of them unasked
+    asked = []
+    blocks = isometries._blocks
+    monkeypatch.setattr(isometries, "_blocks", lambda lattice: asked.append(lattice.name) or blocks(lattice))
+    for name in sorted(SAMPLING_BLOCKS):
+        isometries._recipe_pool.__wrapped__(name)
+        assert asked == [name]
+        sample_word(resolve(name), 0, 4)
+        assert asked == [name, name]
+        asked.clear()
 
 
 def _rank_one_rows(delta, coeffs):
@@ -426,7 +461,7 @@ def _entry_coeffs(entry, n):
 
 def _pool_entries():
     """(lattice, entry) for every entry of the two recipe pools."""
-    return [(resolve(name), entry) for name in sorted(isometries._RECIPES)
+    return [(resolve(name), entry) for name in sorted(SAMPLING_BLOCKS)
             for entry in isometries._recipe_pool(name)]
 
 

@@ -17,6 +17,7 @@ from lattice_orbits.dilatation import dilate, half_target
 from lattice_orbits.errors import (
     EmptyLattice,
     LatticeShapeMismatch,
+    NotInteger,
     RankMismatch,
     UnknownLattice,
     ZeroTwist,
@@ -203,9 +204,35 @@ def test_lattice_validation():
         Lattice("bad", 0, ())
 
 
+@pytest.mark.parametrize(
+    "rank, gram, message",
+    [
+        (2, ((0.5, 1), (1, 0)), "each gram entry must be an integer, got 0.5"),
+        (2, ((0, 1), (1, 0.0)), "each gram entry must be an integer, got 0.0"),
+        (2, ((0, True), (True, 0)), "each gram entry must be an integer, got True"),
+        (2, ((0, "1"), ("1", 0)), "each gram entry must be an integer, got '1'"),
+        (2.0, ((0, 1), (1, 0)), "the lattice rank must be an integer, got 2.0"),
+    ],
+)
+def test_lattice_refuses_a_non_integer_rank_or_gram_entry(rank, gram, message):
+    # before, the first was accepted and quadratic((1, 1)) read 2.5 on it
+    with pytest.raises(NotInteger, match=f"^{message}$"):
+        Lattice("x", rank, gram)
+
+
+def test_built_lattices_keep_their_entries_and_refuse_non_integers():
+    assert matrix.freeze([[1.5, 2]]) == ((1.5, 2),)  # a copy; the Lattice door refuses it
+    with pytest.raises(NotInteger):
+        twist(make_u(), 0.5)
+
+
 def test_resolve_names():
     assert resolve("U") == make_u()
-    assert resolve("B_U") == make_u()
+    with pytest.raises(UnknownLattice):
+        resolve("B_U")  # the alias of U is gone, so no name hands out another's value
+    out = io.StringIO()
+    assert run(["info", "--lattice", "B_U"], stdout=out) == 2
+    assert json.loads(out.getvalue())["error"] == "UnknownLattice"
     assert resolve("U2").gram == ((0, 2), (2, 0))
     assert resolve("E8_2").gram[0][0] == -4
     assert resolve("I_4_2") == make_i(4, 2)
@@ -219,6 +246,7 @@ def test_resolve_names():
 @pytest.mark.parametrize("name", builtin_names()[:-1])
 def test_resolve_hands_out_one_value_per_builtin_name(name):
     assert resolve(name) is resolve(name)
+    assert resolve(name).name == name  # messages name the lattice the argv named
     assert is_builtin(resolve(name))
 
 
@@ -251,6 +279,14 @@ def test_resolve_builds_i_s_t_on_each_call():
 )
 def test_is_builtin(lattice, builtin):
     assert is_builtin(lattice) is builtin
+
+
+def test_is_builtin_against_a_given_name():
+    u2u = resolve("U2U")
+    assert is_builtin(u2u, "U2U") and is_builtin(make_i(2, 3), "I_2_3")
+    for name in ("Lminus", "nope", "I_2_2", "I_0_0", "I_1000_1"):
+        assert not is_builtin(u2u, name)
+    assert not is_builtin(twisted_plus_u(make_u(), name="V2V"), "U2U")  # equal Gram and tag, other name
 
 
 def test_is_builtin_refuses_i_s_t_of_another_rank():

@@ -422,6 +422,37 @@ def test_norm_labels_is_the_one_label_rule():
         assert tuple(c.label for c in heegner_report(n).components) == orbits.norm_labels(2 * n)
 
 
+def test_even_witness_refuses_exactly_the_odd_label():
+    rng = random.Random(25)
+    refused = kept = 0
+    while refused < 100 or kept < 100:
+        v = vec(LMINUS, [rng.randint(-6, 6) for _ in range(12)])
+        if not any(v.coords) or not is_primitive(v):
+            continue
+        odd = orbits.norm_labels(norm(v)) == (OrbitLabel.ODD,)
+        try:
+            even_witness(v)
+        except EvenTypeUndefinedForOddN:
+            assert odd, v.coords
+            refused += 1
+        else:
+            assert not odd, v.coords
+            kept += 1
+
+
+def test_classify_and_even_witness_read_the_one_label_rule(monkeypatch):
+    # with the rule forced to odd, both follow it; a copy of the rule would not
+    v = vec(LMINUS, (0,) * 10 + (1, 4))  # norm 8, even n
+    assert classify(v).label is OrbitLabel.EVEN_ORDINARY
+    monkeypatch.setattr(orbits, "norm_labels", lambda value: (OrbitLabel.ODD,))
+    assert classify(v).label is OrbitLabel.ODD
+    with pytest.raises(EvenTypeUndefinedForOddN, match="^norm 8 is not divisible by 4$"):
+        even_witness(v)
+    # forced to even, an odd-n vector reaches the witness search and its parity obstruction
+    monkeypatch.setattr(orbits, "norm_labels", lambda value: (OrbitLabel.EVEN_CHARACTERISTIC, OrbitLabel.EVEN_ORDINARY))
+    assert even_witness(vec(LMINUS, (0,) * 10 + (1, 5))).parity_obstruction
+
+
 def test_every_classify_label_in_a_u2u_box_is_admitted_by_its_norm():
     seen = set()
     for coords in box_walk([range(-3, 4)] * 4):

@@ -8,7 +8,10 @@ Two rules over the package source, read with the stdlib ast module:
   [project.scripts] entry;
 - each name a module in src/ imports from the package is used in that module.
 
-A helper that only tests call belongs in tests/support.py.
+A helper that only tests call belongs in tests/support.py. Two more rules
+keep a decision in its one home: a norm <x, x> goes through
+lattices.quadratic, never inner(l, x, x), and the try-resolve-compare of the
+built-in test lives only in lattices.is_builtin.
 """
 
 import ast
@@ -142,3 +145,50 @@ def test_the_surface_rules_see_what_they_claim():
     assert _script_entries() == {("cli", "main")}
     assert {"pair", "block_swap", "transvection"} <= _readme_names()
     assert set(_public_definitions(ast.parse("A = 1\n_b = 2\ndef f(): pass\nclass C: x = 3\n"))) == {"A", "f", "C"}
+
+
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _self_inner_calls(tree: ast.Module) -> list[int]:
+    """Lines of inner(l, x, x) calls: the same expression as both vectors."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "inner" and len(node.args) == 3
+        and ast.dump(node.args[1]) == ast.dump(node.args[2])
+    ]
+
+
+def test_every_norm_in_src_goes_through_quadratic():
+    found = [f"{module}:{line}" for module, tree in _package_trees().items() for line in _self_inner_calls(tree)]
+    assert found == [], f"norms through inner(l, x, x) at {found}: call lattices.quadratic"
+
+
+def _builtin_tests(tree: ast.Module) -> list[str]:
+    """Functions holding a try that calls resolve and catches LatticeError."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Try)
+                    and any(isinstance(call, ast.Call) and _called_name(call) == "resolve"
+                            for stmt in node.body for call in ast.walk(stmt))
+                    and any(handler.type is not None and "LatticeError" in ast.dump(handler.type)
+                            for handler in node.handlers)):
+                found.append(func.name)
+    return found
+
+
+def test_the_built_in_test_lives_only_in_is_builtin():
+    found = [f"{module}.{name}" for module, tree in _package_trees().items() for name in _builtin_tests(tree)]
+    assert found == ["lattices.is_builtin"]
+
+
+def test_the_one_home_rules_see_what_they_claim():
+    assert _self_inner_calls(ast.parse("inner(l, h.c, h.c)\nlattices.inner(l, x, x)\ninner(l, x, y)\n")) == [1, 2]
+    planted = "def f(name, l):\n    try:\n        return resolve(name) == l\n    except LatticeError:\n        return False\n"
+    assert _builtin_tests(ast.parse(planted)) == ["f"]
+    assert _builtin_tests(ast.parse(planted.replace("LatticeError", "KeyError"))) == []

@@ -7,6 +7,7 @@ import pytest
 
 from lattice_orbits.errors import (
     LatticeShapeMismatch,
+    NotInteger,
     NotUnimodular,
     RankMismatch,
     ZeroVector,
@@ -33,6 +34,18 @@ def test_norm_values():
     for k in (2, -3):
         assert norm(vec(LMINUS, (0,) * 8 + (1, k, 0, 0))) == 4 * k
     assert norm(vec(LMINUS, (0,) * 12)) == 0
+
+
+@pytest.mark.parametrize("coords, bad", [((1.9, "2"), "1.9"), ((1, "2"), "'2'"), ((False, 1), "False")])
+def test_vec_refuses_non_integer_coordinates(coords, bad):
+    # before, vec(U, (1.9, "2")) built the vector (1, 2)
+    with pytest.raises(NotInteger, match=f"^each coordinate must be an integer, got {bad}$"):
+        vec(resolve("U"), coords)
+
+
+def test_vec_reads_any_int_sequence():
+    u = resolve("U")
+    assert vec(u, [1, 2]) == vec(u, iter((1, 2))) == LatticeVector(u, (1, 2))
 
 
 def test_is_primitive():
