@@ -328,6 +328,7 @@ _HANDLERS = {
 
 
 def _render_pretty(doc, indent=0) -> list[str]:
+    """Lines of a handler's dict; it recurses only into dicts and lists, never a bare scalar."""
     pad = "  " * indent
     lines = []
     if isinstance(doc, dict):
@@ -344,8 +345,6 @@ def _render_pretty(doc, indent=0) -> list[str]:
                 lines.extend(_render_pretty(item, indent + 1))
             else:
                 lines.append(f"{pad}- {_scalar(item)}")
-    else:
-        lines.append(f"{pad}{_scalar(doc)}")
     return lines
 
 

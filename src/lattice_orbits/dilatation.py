@@ -32,6 +32,7 @@ from .lattices import (
     quadratic,
     split_base,
 )
+from .matrix import require_ints
 from .vectors import LatticeVector
 
 
@@ -43,6 +44,7 @@ class HalfVector:
     doubled_coords: tuple[int, ...]
 
     def __post_init__(self):
+        require_ints(self.doubled_coords, "each doubled coordinate")
         r = split_base(self.base, BASE_PLUS_I11).rank
         if len(self.doubled_coords) != self.base.rank:
             raise RankMismatch(f"expected {self.base.rank} doubled coordinates")

@@ -13,24 +13,24 @@ computing it, on the built-in lattices (every fixed built-in is nondegenerate
 and I_s_t has det +-1). Every other lattice, degenerate ones included, keeps
 the check.
 
-Random words are drawn only on the two lattices the suites sample, Lminus and
-U2U, each from a fixed generator recipe: reflections in short vectors (a pool
-scanned once per name), hyperbolic block swaps, global negation, and
-transvections along an isotropic basis vector of the unimodular U block,
-each block read off the split tag (_blocks). Every other lattice, I_s_t and
-the half targets included, is refused with NoGeneratorRecipe before anything
-is built. Sampling is reproducible: the same seed and length give the same
-matrix.
+Each generator is written once, as the sparse step sample_word applies: the
+rank-one I - delta c^T of a reflection, the rank-two update of a transvection,
+the exchange of rows s and s + 1 for a block swap, and one sign flag for the
+negations (-I commutes with every step). The public generators apply that
+step to the identity and certify the result; tests check each step against
+its textbook formula.
 
-A word is composed from checked generators and certified once, at the end.
-Each pool reflection is certified when it is built, as the rank-one update
-I - delta c^T that it is stored as, in O(n^2) integer operations and without
-building the matrix (_certify_rank_one). Each transvection's preconditions are
-checked when it is drawn, and every step is applied to the word as a sparse
-row update (a row swap or a low-rank update of the rows it moves); the
-negations only flip one sign, applied once at the end. The finished matrix
-then goes through Isometry like any other, so every matrix a caller can apply
-is still a certified isometry.
+Words are drawn only on Lminus and U2U, the lattices the suites sample, from
+one generator table per name (_generators) whose blocks are read off the
+split tag: short-vector reflections, block swaps, negation, and transvections
+along the U block. Every other lattice, I_s_t and the half targets included,
+is refused with NoGeneratorRecipe before anything is built. The same seed and
+length give the same matrix.
+
+A word is certified once, at the end, through Isometry like any other matrix.
+Each pool reflection is certified when the table is built, as the rank-one
+step it is stored as, in O(n^2) integer operations (_certify_rank_one); each
+transvection's preconditions are checked when it is drawn.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import NamedTuple
 
 from . import matrix as intmat
 from .enumeration import box_walk, check_counts, short_vectors_definite
@@ -123,6 +122,43 @@ def negation(lattice: Lattice) -> Isometry:
     )
 
 
+_Terms = list[tuple[int, int]]  # (index, value) pairs of a vector's nonzero entries
+# A sparse step: the matrix I + sum of u v^T over its (u, v) pairs. Applied to
+# a word on the left, it rewrites only the rows where some u is nonzero.
+_RowUpdate = tuple[tuple[_Terms, _Terms], ...]
+
+
+def _nonzero(values) -> _Terms:
+    # a list, not tuple(generator): CPython resizes such tuples, which fills the
+    # free list of every length a word step produces (about 1 MB held on Lminus)
+    return [(i, x) for i, x in enumerate(values) if x]
+
+
+def _apply_update(word: list[list[int]], update: _RowUpdate) -> None:
+    """word <- (I + sum of u v^T) word, in place."""
+    combos = []
+    for u, v in update:
+        acc = [0] * len(word)
+        for c, k in v:
+            acc = [a + k * w for a, w in zip(acc, word[c])]
+        combos.append((u, acc))
+    for u, acc in combos:
+        for r, k in u:
+            word[r] = [w + k * a for w, a in zip(word[r], acc)]
+
+
+def _swap_rows(word: list, s: int) -> None:
+    """word <- P word, in place, with P the exchange of basis vectors s and s + 1."""
+    word[s], word[s + 1] = word[s + 1], word[s]
+
+
+def _step_isometry(lattice: Lattice, update: _RowUpdate) -> Isometry:
+    """The matrix of a step, built by applying it to the identity, then certified."""
+    rows = [list(row) for row in intmat.identity(lattice.rank)]
+    _apply_update(rows, update)
+    return Isometry(lattice, intmat.freeze(rows))
+
+
 def _reflection_coeffs(lattice: Lattice, delta: tuple[int, ...]) -> list[int]:
     """2<e_i, delta>/<delta, delta> for every basis vector e_i, checked integral."""
     if len(delta) != lattice.rank:
@@ -141,24 +177,24 @@ def _reflection_coeffs(lattice: Lattice, delta: tuple[int, ...]) -> list[int]:
     return coeffs
 
 
+def _reflection_step(delta, coeffs) -> _RowUpdate:
+    """The reflection in delta as the rank-one step I - delta c^T, c = coeffs."""
+    return ((_nonzero(-d for d in delta), _nonzero(coeffs)),)
+
+
 def reflection(lattice: Lattice, delta) -> Isometry:
     """Reflection in a non-isotropic vector, when it is integral on the lattice.
 
     w -> w - (2<w, delta>/<delta, delta>) delta. Integrality is checked against
-    every basis vector before the matrix is assembled.
+    every basis vector before the step is built.
     """
     delta = tuple(delta)
     require_ints(delta, "each coordinate")
-    coeffs = _reflection_coeffs(lattice, delta)
-    rows = tuple(
-        tuple((1 if r == cidx else 0) - coeffs[cidx] * delta[r] for cidx in range(lattice.rank))
-        for r in range(lattice.rank)
-    )
-    return Isometry(lattice, rows)
+    return _step_isometry(lattice, _reflection_step(delta, _reflection_coeffs(lattice, delta)))
 
 
-def _transvection_terms(lattice: Lattice, e, x):
-    """G e, G x and <x,x>/2 for the transvection along e and x, after its checks."""
+def _transvection_step(lattice: Lattice, e, x) -> _RowUpdate:
+    """The transvection along e and x, after its checks, as I + (x - (<x,x>/2) e)(G e)^T - e (G x)^T."""
     if not is_even(lattice):
         raise OddLattice("transvections need an even lattice")
     if len(e) != lattice.rank or len(x) != lattice.rank:
@@ -169,7 +205,11 @@ def _transvection_terms(lattice: Lattice, e, x):
     if sum(map(mul, x, ge)) != 0:
         raise NotOrthogonal("x must be orthogonal to e")
     gx = gram_vec(lattice, x)
-    return ge, gx, sum(map(mul, x, gx)) // 2
+    half = sum(map(mul, x, gx)) // 2
+    return (
+        (_nonzero(a - half * b for a, b in zip(x, e)), _nonzero(ge)),
+        (_nonzero(-b for b in e), _nonzero(gx)),
+    )
 
 
 def transvection(lattice: Lattice, e, x) -> Isometry:
@@ -180,24 +220,18 @@ def transvection(lattice: Lattice, e, x) -> Isometry:
     """
     e, x = tuple(e), tuple(x)
     require_ints(e + x, "each coordinate")
-    ge, gx, half = _transvection_terms(lattice, e, x)
-    rows = tuple(
-        tuple(
-            (1 if r == c else 0) - gx[c] * e[r] + ge[c] * x[r] - half * ge[c] * e[r]
-            for c in range(lattice.rank)
-        )
-        for r in range(lattice.rank)
-    )
-    return Isometry(lattice, rows)
+    return _step_isometry(lattice, _transvection_step(lattice, e, x))
 
 
 def block_swap(lattice: Lattice, start: int) -> Isometry:
-    """Exchange basis vectors start and start+1 (hyperbolic block swap)."""
+    """Exchange basis vectors start and start+1 (hyperbolic block swap); 0 <= start <= rank - 2."""
+    require_ints((start,), "the swap start")
     n = lattice.rank
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows[start][start] = rows[start + 1][start + 1] = 0
-    rows[start][start + 1] = rows[start + 1][start] = 1
-    return Isometry(lattice, intmat.freeze(rows))
+    if not 0 <= start <= n - 2:
+        raise RankMismatch(f"cannot swap basis vectors {start} and {start + 1} of a rank-{n} lattice")
+    rows = list(intmat.identity(n))
+    _swap_rows(rows, start)
+    return Isometry(lattice, tuple(rows))
 
 
 # the built-ins the suites sample; every other lattice has no generator recipe
@@ -221,10 +255,9 @@ def _blocks(lattice: Lattice):
     return ((r - 2, r - 1), (r, r + 1)), definite, (r - 2, r), r
 
 
-def _reflection_candidates(lattice: Lattice):
+def _reflection_candidates(lattice: Lattice, windows, definite):
     n = lattice.rank
     values = range(-_POOL_BOX, _POOL_BOX + 1)
-    windows, definite, _, _ = _blocks(lattice)
     for window in windows:
         axes = [values if i in window else (0,) for i in range(n)]
         yield from filter(any, box_walk(axes))
@@ -243,23 +276,6 @@ def _reflection_candidates(lattice: Lattice):
                 delta[start : start + len(small)] = small
                 yield tuple(delta)
             break  # smallest usable norm is enough; deeper shells add thousands
-
-
-_Terms = list[tuple[int, int]]  # (index, value) pairs of a vector's nonzero entries
-# A sparse step: the matrix I + sum of u v^T over its (u, v) pairs. Applied to
-# a word on the left, it rewrites only the rows where some u is nonzero.
-_RowUpdate = tuple[tuple[_Terms, _Terms], ...]
-
-
-def _nonzero(values) -> _Terms:
-    # a list, not tuple(generator): CPython resizes such tuples, which fills the
-    # free list of every length a word step produces (about 1 MB held on Lminus)
-    return [(i, x) for i, x in enumerate(values) if x]
-
-
-class _PoolReflection(NamedTuple):
-    delta: tuple[int, ...]
-    update: _RowUpdate  # I - delta c^T, with c the reflection coefficients
 
 
 def _certify_rank_one(lattice: Lattice, delta, coeffs) -> None:
@@ -284,16 +300,18 @@ def _certify_rank_one(lattice: Lattice, delta, coeffs) -> None:
 
 
 @lru_cache(maxsize=len(_SAMPLED))
-def _recipe_pool(name: str) -> tuple[_PoolReflection, ...]:
-    """Certified reflections in a sampled lattice's candidates, deterministic order, sign-deduped.
+def _generators(name: str) -> tuple[tuple[_RowUpdate, ...], tuple[int, ...], int]:
+    """A sampled lattice's generator table: (reflection steps, swap starts, transvection start).
 
-    Scanned once per sampled name. Each entry is certified as the rank-one
-    update it is stored as.
+    Built once per sampled name, its blocks read off the tag once. The pool
+    holds certified reflection steps in a deterministic order, sign-deduped;
+    each is certified as the rank-one step it is stored as.
     """
     lattice = resolve(name)
+    windows, definite, swaps, transvection_start = _blocks(lattice)
     pool = []
     seen = set()
-    for delta in _reflection_candidates(lattice):
+    for delta in _reflection_candidates(lattice, windows, definite):
         if math.gcd(*delta) != 1:  # also drops the zero vector
             continue
         first = next(c for c in delta if c)
@@ -307,37 +325,18 @@ def _recipe_pool(name: str) -> tuple[_PoolReflection, ...]:
             coeffs = _reflection_coeffs(lattice, canonical)
         except (IsotropicReflectionVector, NotIntegralReflection):
             continue
-        _certify_rank_one(lattice, canonical, coeffs)  # the matrix the update stands for
-        pool.append(_PoolReflection(canonical, ((_nonzero(-d for d in canonical), _nonzero(coeffs)),)))
-    return tuple(pool)
+        _certify_rank_one(lattice, canonical, coeffs)  # the matrix the step stands for
+        pool.append(_reflection_step(canonical, coeffs))
+    return tuple(pool), swaps, transvection_start
 
 
 def _random_transvection(lattice: Lattice, start: int, rng: random.Random) -> _RowUpdate:
     which = rng.choice((0, 1))
     e = [0] * lattice.rank
     e[start + which] = 1
-    partner = start + (1 - which)
     x = [rng.randint(-2, 2) for _ in range(lattice.rank)]
-    x[partner] = 0  # kills <x, e>
-    ge, gx, half = _transvection_terms(lattice, e, x)
-    # the transvection matrix is I + (x - half e) ge^T - e gx^T
-    return (
-        (_nonzero(a - half * b for a, b in zip(x, e)), _nonzero(ge)),
-        (_nonzero(-b for b in e), _nonzero(gx)),
-    )
-
-
-def _apply_update(word: list[list[int]], update: _RowUpdate) -> None:
-    """word <- (I + sum of u v^T) word, in place."""
-    combos = []
-    for u, v in update:
-        acc = [0] * len(word)
-        for c, k in v:
-            acc = [a + k * w for a, w in zip(acc, word[c])]
-        combos.append((u, acc))
-    for u, acc in combos:
-        for r, k in u:
-            word[r] = [w + k * a for w, a in zip(word[r], acc)]
+    x[start + 1 - which] = 0  # kills <x, e>
+    return _transvection_step(lattice, e, x)
 
 
 # a word's cost is quadratic in its length, its entries gaining about 0.68 bits
@@ -378,20 +377,18 @@ def sample_word(lattice: Lattice, seed: int, length: int) -> Isometry:
     check_word_length(length)
     if lattice.name not in _SAMPLED or not is_builtin(lattice):
         raise NoGeneratorRecipe(f"no sampling recipe for lattice {lattice.name!r}")
-    pool = _recipe_pool(lattice.name)
-    _, _, swaps, transvection_start = _blocks(lattice)
+    pool, swaps, transvection_start = _generators(lattice.name)
     rng = random.Random(seed)
     word = [list(row) for row in intmat.identity(lattice.rank)]
     sign = 1  # -I commutes with every step, so the negations are applied once, at the end
     for _ in range(length):  # word <- step . word
         kind = rng.choice(_KINDS)
         if kind == "reflection":
-            _apply_update(word, rng.choice(pool).update)
+            _apply_update(word, rng.choice(pool))
         elif kind == "transvection":
             _apply_update(word, _random_transvection(lattice, transvection_start, rng))
         elif kind == "swap":
-            s = rng.choice(swaps)
-            word[s], word[s + 1] = word[s + 1], word[s]
+            _swap_rows(word, rng.choice(swaps))
         else:
             sign = -sign
     if sign < 0:

@@ -16,7 +16,7 @@ from lattice_orbits.dilatation import (
     half_target,
     is_integral,
 )
-from lattice_orbits.errors import LatticeShapeMismatch, NotInHalfLattice, RankMismatch
+from lattice_orbits.errors import LatticeShapeMismatch, NotInHalfLattice, NotInteger, RankMismatch
 from lattice_orbits.lattices import (
     TWISTED_PLUS_U,
     Lattice,
@@ -108,6 +108,14 @@ def test_half_vector_validation():
         HalfVector(target, (0,) * 5)
     with pytest.raises(LatticeShapeMismatch):
         HalfVector(resolve("U"), (0, 0))
+
+
+def test_half_vector_refuses_non_integer_coordinates():
+    u_i11 = resolve("U_I11")
+    for doubled in ((0.0, 2.0, 1.0, 1.0), (0, 2, 1.5, 1.5), (0, 2, True, 1)):
+        bad = next(d for d in doubled if type(d) is not int)
+        with pytest.raises(NotInteger, match=f"^each doubled coordinate must be an integer, got {bad!r}$"):
+            HalfVector(u_i11, doubled)
 
 
 def test_half_target():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lattice_orbits import isometries
+from lattice_orbits import isometries, lattices
 from lattice_orbits.errors import (
     IsotropicReflectionVector,
+    LatticeError,
     LatticeMismatch,
     LimitExceeded,
     NegativeCount,
@@ -19,6 +20,7 @@ from lattice_orbits.errors import (
     NotIsotropic,
     NotOrthogonal,
     OddLattice,
+    RankMismatch,
 )
 from lattice_orbits.isometries import (
     MAX_WORD_LENGTH,
@@ -37,7 +39,7 @@ from lattice_orbits.lattices import Lattice, inner, resolve, twisted_plus_u
 from lattice_orbits.matrix import det, freeze, mat_mul, mat_vec
 from lattice_orbits.matrix import identity as eye
 from lattice_orbits.vectors import VectorType, is_primitive, norm, pair, vec, vector_type
-from support import SAMPLING_BLOCKS, transpose
+from support import SAMPLING_BLOCKS, textbook_reflection, textbook_swap, textbook_transvection, transpose
 
 LMINUS = resolve("Lminus")
 
@@ -145,6 +147,54 @@ def test_transvection_additivity():
         assert lhs.matrix == rhs.matrix
 
 
+def test_block_swap_checks_its_start():
+    u = resolve("U")
+    assert block_swap(u, 0).matrix == ((0, 1), (1, 0))
+    for lattice, start in ((u, 1), (LMINUS, 11), (LMINUS, -2), (LMINUS, -1)):
+        with pytest.raises(RankMismatch, match=(
+            f"^cannot swap basis vectors {start} and {start + 1} of a rank-{lattice.rank} lattice$"
+        )):
+            block_swap(lattice, start)
+    for start in (2.0, True, "10"):
+        with pytest.raises(NotInteger, match=f"^the swap start must be an integer, got {start!r}$"):
+            block_swap(LMINUS, start)
+
+
+def test_rank_refusals_come_before_any_step_or_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a step or a matrix was built")
+
+    monkeypatch.setattr(isometries, "_nonzero", refuse)
+    monkeypatch.setattr(isometries, "_step_isometry", refuse)
+    with pytest.raises(RankMismatch, match="^expected 12 coordinates$"):
+        reflection(LMINUS, (1, 0))
+    with pytest.raises(RankMismatch, match="^expected 12 coordinates$"):
+        transvection(LMINUS, (0,) * 10 + (1, 0), (1, 0))
+    monkeypatch.setattr(lattices, "gram_terms", refuse)
+    with pytest.raises(RankMismatch, match="^gram matrix is not 2x2$"):
+        Lattice("x", 2, ((0, 1), (1,)))
+
+
+def test_a_corrupted_step_fails_the_public_generators(monkeypatch):
+    # the public generators build their matrix with the sampler's step, then
+    # certify it; a step that went wrong is refused, not handed out
+    real = isometries._apply_update
+    corrupted = []
+
+    def flip_first_moved_row(rows, update):
+        real(rows, update)
+        row = update[0][0][0][0]
+        rows[row] = [-w for w in rows[row]]  # det stays +-1; only the form check sees it
+        corrupted.append(row)
+
+    monkeypatch.setattr(isometries, "_apply_update", flip_first_moved_row)
+    with pytest.raises(NotIsometry, match="^matrix does not preserve the form$"):
+        reflection(LMINUS, (0,) * 10 + (1, -1))
+    with pytest.raises(NotIsometry, match="^matrix does not preserve the form$"):
+        transvection(LMINUS, (0,) * 10 + (1, 0), (1,) + (0,) * 11)
+    assert corrupted == [10, 0]
+
+
 def test_apply_contracts():
     rng = random.Random(13)
     for _ in range(50):
@@ -200,9 +250,9 @@ def test_sample_word_mixes_vectors():
 
 def test_no_recipe(monkeypatch):
     def refuse(name):
-        raise AssertionError("a generator pool was scanned")
+        raise AssertionError("a generator table was built")
 
-    monkeypatch.setattr(isometries, "_recipe_pool", refuse)
+    monkeypatch.setattr(isometries, "_generators", refuse)
     refused = [resolve(name) for name in ("Lambda", "E8", "I_2_2", "E8_U_I11", "U_I11")]
     refused.append(twisted_plus_u(resolve("U"), name="V2V"))  # tagged like U2U, but not a built-in
     refused.append(twisted_plus_u(resolve("U"), name="Lminus"))  # a recipe name on another lattice
@@ -221,9 +271,9 @@ def test_sample_word_refuses_a_word_past_the_cap_before_any_work(monkeypatch):
     assert sample_word(u2u, 1, MAX_WORD_LENGTH).lattice == u2u  # the cap itself runs
 
     def refuse(name):
-        raise AssertionError("the generator pool was built")
+        raise AssertionError("the generator table was built")
 
-    monkeypatch.setattr(isometries, "_recipe_pool", refuse)
+    monkeypatch.setattr(isometries, "_generators", refuse)
     with pytest.raises(LimitExceeded, match=r"^isometry words hold at most 10000 generators, got 10001$"):
         sample_word(LMINUS, 1, MAX_WORD_LENGTH + 1)
 
@@ -248,17 +298,18 @@ def test_sample_word_pinned_digest(name):
 
 
 def dense_word(lattice, seed, length):
-    """The word as a dense product of certified public generators.
+    """The word as a dense product of the textbook generator matrices.
 
     Draws the RNG in the same order as sample_word: the kind, then the pool
-    entry, the transvection's (which, x) or the swap block.
+    entry, the transvection's (which, x) or the swap block. Only the pool's
+    deltas come from the library's table.
     """
     _, _, swaps, transvection_start = SAMPLING_BLOCKS[lattice.name]
-    pool = [reflection(lattice, entry.delta) for entry in isometries._recipe_pool(lattice.name)]
+    n = lattice.rank
+    pool = [textbook_reflection(lattice, _step_terms(step, n)[0]) for step in isometries._generators(lattice.name)[0]]
     kinds = ("reflection", "transvection", "swap", "negation")
     rng = random.Random(seed)
-    n = lattice.rank
-    word = identity(lattice)
+    word = eye(n)
     for _ in range(length):
         kind = rng.choice(kinds)
         if kind == "reflection":
@@ -270,13 +321,13 @@ def dense_word(lattice, seed, length):
             e[start + which] = 1
             x = [rng.randint(-2, 2) for _ in range(n)]
             x[start + 1 - which] = 0
-            step = transvection(lattice, e, x)
+            step = textbook_transvection(lattice, e, x)
         elif kind == "swap":
-            step = block_swap(lattice, rng.choice(swaps))
+            step = textbook_swap(lattice, rng.choice(swaps))
         else:
-            step = negation(lattice)
-        word = compose(step, word)
-    return word.matrix
+            step = tuple(tuple(-x for x in row) for row in eye(n))
+        word = mat_mul(step, word)
+    return word
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -403,6 +454,68 @@ def test_sparse_forms_agree_with_dense_definitions(case):
     assert accepted is _dense_isometry(g, m)
 
 
+@st.composite
+def _generator_case(draw):
+    """(lattice, public generator, its textbook matrix, arguments), valid or not."""
+    source = draw(st.sampled_from(("Lminus", "U2U", "U", "random")))
+    if source == "random":  # mostly an even form, degenerate ones included; odd ones meet OddLattice
+        n = draw(st.integers(1, 5))
+        diagonal = st.sampled_from((-2, 0, 2)) if draw(st.integers(0, 4)) else st.integers(-2, 2)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = draw(diagonal)
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = draw(st.integers(-2, 2))
+        lattice = Lattice("T", n, freeze(rows))
+    else:
+        lattice = resolve(source)
+    n, g = lattice.rank, lattice.gram
+    size = draw(st.sampled_from((n,) * 8 + (n - 1, n + 1)))  # mostly the right rank
+    coords = st.lists(st.integers(-2, 2), min_size=size, max_size=size).map(tuple)
+    kind = draw(st.sampled_from(("reflection", "transvection", "swap")))
+    if kind == "reflection":
+        delta = draw(coords)
+        if len(delta) == n and draw(st.booleans()):  # e_i or e_i +- e_j, more often integral
+            i, j, s = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.sampled_from((0, 1, -1)))
+            delta = tuple(int(k == i) + (s if k == j != i else 0) for k in range(n))
+        return lattice, reflection, textbook_reflection, (delta,)
+    if kind == "swap":
+        start = draw(st.sampled_from((1.0, True)) if draw(st.integers(0, 5)) == 0 else st.integers(-2, n))
+        return lattice, block_swap, textbook_swap, (start,)
+    isotropic = [i for i in range(n) if g[i][i] == 0]
+    x = draw(coords)
+    if isotropic and draw(st.booleans()):  # an isotropic basis vector, and mostly an x orthogonal to it
+        i = draw(st.sampled_from(isotropic))
+        e = tuple(int(j == i) for j in range(n))
+        if len(x) == n and draw(st.booleans()):
+            x = tuple(0 if g[i][j] else c for j, c in enumerate(x))
+    else:
+        e = draw(coords)
+    return lattice, transvection, textbook_transvection, (e, x)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_generator_case())
+@example((resolve("U"), block_swap, textbook_swap, (1,)))
+@example((LMINUS, block_swap, textbook_swap, (3,)))  # a permutation that breaks the E8(2) form
+@example((LMINUS, transvection, textbook_transvection, ((0,) * 10 + (1, 0), (1,) + (0,) * 9 + (2, 0))))
+@example((resolve("U_I11"), transvection, textbook_transvection, ((1, 0), (0, 0))))  # odd before rank
+def test_public_generators_are_their_textbook_matrices(case):
+    lattice, public, textbook, args = case
+    try:
+        expected = textbook(lattice, *args)
+    except LatticeError as exc:
+        with pytest.raises(LatticeError) as refused:
+            public(lattice, *args)
+        assert type(refused.value) is type(exc)
+        return
+    if not _dense_isometry(lattice.gram, expected):
+        with pytest.raises(NotIsometry):
+            public(lattice, *args)
+        return
+    assert public(lattice, *args).matrix == expected
+
+
 def test_i_s_t_word_holds_no_pool():
     # I_s_t has no recipe, so a word on a large one is refused before anything is built
     lattice = resolve("I_150_0")
@@ -422,26 +535,30 @@ def test_pools_are_kept_per_recipe_name_only():
             sample_word(resolve(name), 0, 3)
     for name in SAMPLING_BLOCKS:
         sample_word(resolve(name), 0, 1)
-    info = isometries._recipe_pool.cache_info()
+    info = isometries._generators.cache_info()
     assert info.currsize == info.maxsize == len(SAMPLING_BLOCKS) == 2
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLING_BLOCKS))
 def test_blocks_read_off_the_tag_match_the_pinned_literals(name):
     assert isometries._blocks(resolve(name)) == SAMPLING_BLOCKS[name]
+    _, swaps, transvection_start = isometries._generators(name)
+    assert (swaps, transvection_start) == SAMPLING_BLOCKS[name][2:]
 
 
 def test_sampling_reads_its_blocks_only_off_the_tag(monkeypatch):
-    # the pool scan and the word draws both ask _blocks; a second table of
-    # block indices would leave one of them unasked
+    # the table asks _blocks once and sample_word reads only the table; a
+    # second table of block indices would leave one of them unasked
     asked = []
     blocks = isometries._blocks
     monkeypatch.setattr(isometries, "_blocks", lambda lattice: asked.append(lattice.name) or blocks(lattice))
     for name in sorted(SAMPLING_BLOCKS):
-        isometries._recipe_pool.__wrapped__(name)
-        assert asked == [name]
+        sample_word(resolve(name), 0, 1)  # the cached table is built by now
+        asked.clear()
         sample_word(resolve(name), 0, 4)
-        assert asked == [name, name]
+        assert asked == []
+        assert isometries._generators.__wrapped__(name) == isometries._generators(name)
+        assert asked == [name]
         asked.clear()
 
 
@@ -451,33 +568,34 @@ def _rank_one_rows(delta, coeffs):
     return freeze([[int(r == c) - delta[r] * coeffs[c] for c in range(n)] for r in range(n)])
 
 
-def _entry_coeffs(entry, n):
-    [(_, terms)] = entry.update
-    coeffs = [0] * n
-    for i, k in terms:
+def _step_terms(step, n):
+    """(delta, c) of a pool step I - delta c^T, read off its one (u, v) pair, u = -delta."""
+    [(u, v)] = step
+    delta, coeffs = [0] * n, [0] * n
+    for i, k in u:
+        delta[i] = -k
+    for i, k in v:
         coeffs[i] = k
-    return coeffs
+    return tuple(delta), coeffs
 
 
 def _pool_entries():
-    """(lattice, entry) for every entry of the two recipe pools."""
-    return [(resolve(name), entry) for name in sorted(SAMPLING_BLOCKS)
-            for entry in isometries._recipe_pool(name)]
+    """(lattice, delta, c) for every reflection step of the two generator tables."""
+    return [(resolve(name), *_step_terms(step, resolve(name).rank)) for name in sorted(SAMPLING_BLOCKS)
+            for step in isometries._generators(name)[0]]
 
 
 def test_rank_one_certificate_agrees_with_dense_reflection():
     cases = _pool_entries()
     assert len(cases) == 124 + 4
-    for lattice, entry in cases:
-        coeffs = _entry_coeffs(entry, lattice.rank)
-        isometries._certify_rank_one(lattice, entry.delta, coeffs)
-        assert reflection(lattice, entry.delta).matrix == _rank_one_rows(entry.delta, coeffs)
+    for lattice, delta, coeffs in cases:
+        isometries._certify_rank_one(lattice, delta, coeffs)
+        assert textbook_reflection(lattice, delta) == _rank_one_rows(delta, coeffs)
 
 
 def test_rank_one_certificate_refuses_a_corrupted_entry():
-    for lattice, entry in _pool_entries():
+    for lattice, delta, coeffs in _pool_entries():
         n = lattice.rank
-        delta, coeffs = entry.delta, _entry_coeffs(entry, n)
         k = next(i for i in range(n) if coeffs[i])
         bumped = coeffs[:k] + [coeffs[k] + 1] + coeffs[k + 1:]
         moved = delta[:k] + (delta[k] + 1,) + delta[k + 1:]
