@@ -61,81 +61,98 @@ def _coords(text: str) -> tuple[int, ...]:
         raise _UsageError(f"bad coordinate list {text!r}") from None
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The argument parser, with every subparser, or with only `command`'s."""
     parser = _Parser(prog="lattice-orbits", description=__doc__)
     parser.add_argument("--pretty", action="store_true", help="aligned text instead of JSON")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, help):
+        return sub.add_parser(name, help=help) if command in (None, name) else None
 
     def lattice_flag(p, default=None):
         p.add_argument("--lattice", default=default, required=default is None,
                        help=f"built-in lattice name, one of: {', '.join(builtin_names())}")
 
-    p = sub.add_parser("info", help="gram matrix, signature, parity, determinant")
-    lattice_flag(p)
+    if p := add("info", "gram matrix, signature, parity, determinant"):
+        lattice_flag(p)
 
-    p = sub.add_parser("classify", help="orbit label of a primitive vector")
-    lattice_flag(p, "Lminus")
-    p.add_argument("--coords", help="comma separated integers")
-    p.add_argument("--from-json", dest="from_json",
-                   help="path to a vector or classification document ('-' for stdin)")
+    if p := add("classify", "orbit label of a primitive vector"):
+        lattice_flag(p, "Lminus")
+        p.add_argument("--coords", help="comma separated integers")
+        p.add_argument("--from-json", dest="from_json",
+                       help="path to a vector or classification document ('-' for stdin)")
 
-    p = sub.add_parser("rep", help="canonical representative for a norm and label")
-    lattice_flag(p, "Lminus")
-    p.add_argument("--norm", type=int)
-    p.add_argument("--n", type=int, help="half the norm; alternative to --norm")
-    p.add_argument("--class", dest="label", choices=sorted(_LABELS),
-                   help="orbit label; inferred for odd n")
+    if p := add("rep", "canonical representative for a norm and label"):
+        lattice_flag(p, "Lminus")
+        p.add_argument("--norm", type=int)
+        p.add_argument("--n", type=int, help="half the norm; alternative to --norm")
+        p.add_argument("--class", dest="label", choices=sorted(_LABELS),
+                       help="orbit label; inferred for odd n")
 
-    p = sub.add_parser("phi", help="norm-halving image as doubled coordinates")
-    lattice_flag(p, "Lminus")
-    p.add_argument("--coords", required=True)
+    if p := add("phi", "norm-halving image as doubled coordinates"):
+        lattice_flag(p, "Lminus")
+        p.add_argument("--coords", required=True)
 
-    p = sub.add_parser("phi-inv", help="preimage of a half vector")
-    p.add_argument("--base", required=True, help="base + I_1_1 lattice name")
-    p.add_argument("--doubled", required=True, help="comma separated doubled coordinates")
+    if p := add("phi-inv", "preimage of a half vector"):
+        p.add_argument("--base", required=True, help="base + I_1_1 lattice name")
+        p.add_argument("--doubled", required=True, help="comma separated doubled coordinates")
 
-    p = sub.add_parser("even-type", help="even type test for norm divisible by 4")
-    lattice_flag(p, "Lminus")
-    p.add_argument("--coords", required=True)
+    if p := add("even-type", "even type test for norm divisible by 4"):
+        lattice_flag(p, "Lminus")
+        p.add_argument("--coords", required=True)
 
-    p = sub.add_parser("witness", help="invariant-partner witness of even type")
-    lattice_flag(p, "Lminus")
-    p.add_argument("--coords", required=True)
+    if p := add("witness", "invariant-partner witness of even type"):
+        lattice_flag(p, "Lminus")
+        p.add_argument("--coords", required=True)
 
-    p = sub.add_parser("heegner", help="orbit components for a range of n")
-    p.add_argument("--from", dest="n_min", type=int, required=True)
-    p.add_argument("--to", dest="n_max", type=int, required=True)
+    if p := add("heegner", "orbit components for a range of n"):
+        p.add_argument("--from", dest="n_min", type=int, required=True)
+        p.add_argument("--to", dest="n_max", type=int, required=True)
 
-    p = sub.add_parser("oracle-invariance", help="labels must survive random isometries")
-    lattice_flag(p, "Lminus")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--word-length", dest="word_length", type=int, default=8)
-    p.add_argument("--isometry-json", dest="isometry_json",
-                   help="path to a matrix or list of matrices to certify and include")
+    if p := add("oracle-invariance", "labels must survive random isometries"):
+        lattice_flag(p, "Lminus")
+        p.add_argument("--samples", type=int, default=1000)
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--bound", type=int, default=3)
+        p.add_argument("--word-length", dest="word_length", type=int, default=8)
+        p.add_argument("--isometry-json", dest="isometry_json",
+                       help="path to a matrix or list of matrices to certify and include")
 
-    p = sub.add_parser("oracle-enumerate", help="primitive vectors in a coordinate box")
-    lattice_flag(p)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--norm", type=int)
+    if p := add("oracle-enumerate", "primitive vectors in a coordinate box"):
+        lattice_flag(p)
+        p.add_argument("--bound", type=int, required=True)
+        p.add_argument("--norm", type=int)
 
-    p = sub.add_parser("oracle-connectivity", help="walk components never mix labels")
-    lattice_flag(p, "U2U")
-    p.add_argument("--norm", type=int, required=True)
-    p.add_argument("--bound", type=int, default=5)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--walks", type=int, default=10000)
-    p.add_argument("--word-length", dest="word_length", type=int, default=4)
+    if p := add("oracle-connectivity", "walk components never mix labels"):
+        lattice_flag(p, "U2U")
+        p.add_argument("--norm", type=int, required=True)
+        p.add_argument("--bound", type=int, default=5)
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--walks", type=int, default=10000)
+        p.add_argument("--word-length", dest="word_length", type=int, default=4)
 
-    p = sub.add_parser("oracle-wall", help="mod-8 congruence over a diagonal lattice box")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--bound", type=int, default=3)
+    if p := add("oracle-wall", "mod-8 congruence over a diagonal lattice box"):
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--bound", type=int, default=3)
 
-    p = sub.add_parser("oracle-e8", help="short vector count in definite E8")
-    p.add_argument("--norm", type=int, default=-2)
+    if p := add("oracle-e8", "short vector count in definite E8"):
+        p.add_argument("--norm", type=int, default=-2)
     return parser
+
+
+def _command(argv) -> str | None:
+    """The command of an argv [--pretty]* <command> ..., else None.
+
+    `run` builds only that command's subparser. Any other argv, such as -h,
+    an abbreviated --pre, an unknown command or none, gets the full parser,
+    whose help and errors list every command.
+    """
+    for arg in argv:
+        if arg != "--pretty":
+            return arg if arg in _HANDLERS else None
+    return None
 
 
 def _read_doc(path: str, stdin) -> dict:
@@ -368,7 +385,7 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     try:
         with contextlib.redirect_stdout(stdout):  # argparse prints --help to sys.stdout
-            args = build_parser().parse_args(argv)
+            args = build_parser(_command(argv)).parse_args(argv)
         try:
             doc, code = _HANDLERS[args.command](args, stdin)
             text = "\n".join(_render_pretty(doc)) if args.pretty else json.dumps(doc)

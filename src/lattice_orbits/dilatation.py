@@ -20,38 +20,41 @@ the very value `resolve` gives for "E8_U_I11" or "U_I11".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import LatticeShapeMismatch, NotInHalfLattice, RankMismatch
 from .lattices import (
     BASE_PLUS_I11,
     TWISTED_PLUS_U,
+    FrozenValue,
     Lattice,
     _check_split_base,
     builtin_domain,
     quadratic,
+    slot_setters,
     split_base,
 )
 from .matrix import require_ints
 from .vectors import LatticeVector
 
 
-@dataclass(frozen=True)
-class HalfVector:
+class HalfVector(FrozenValue):
     """A vector with possibly half-integral trailing coordinates, kept doubled."""
 
-    base: Lattice
-    doubled_coords: tuple[int, ...]
+    __slots__ = _fields = ("base", "doubled_coords")
 
-    def __post_init__(self):
-        require_ints(self.doubled_coords, "each doubled coordinate")
-        r = split_base(self.base, BASE_PLUS_I11).rank
-        if len(self.doubled_coords) != self.base.rank:
-            raise RankMismatch(f"expected {self.base.rank} doubled coordinates")
-        if any(d % 2 != 0 for d in self.doubled_coords[:r]):
+    def __init__(self, base: Lattice, doubled_coords: tuple[int, ...]):
+        require_ints(doubled_coords, "each doubled coordinate")
+        r = split_base(base, BASE_PLUS_I11).rank
+        if len(doubled_coords) != base.rank:
+            raise RankMismatch(f"expected {base.rank} doubled coordinates")
+        if any(d % 2 != 0 for d in doubled_coords[:r]):
             raise NotInHalfLattice("leading coordinates must be integral")
-        if (self.doubled_coords[r] - self.doubled_coords[r + 1]) % 2 != 0:
+        if (doubled_coords[r] - doubled_coords[r + 1]) % 2 != 0:
             raise NotInHalfLattice("trailing half-coordinates must share a parity")
+        _set_base(self, base)
+        _set_doubled_coords(self, doubled_coords)
+
+
+_set_base, _set_doubled_coords = slot_setters(HalfVector)
 
 
 def half_target(domain: Lattice) -> Lattice:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 
 from . import matrix
 from .errors import (
@@ -47,8 +47,54 @@ TWISTED_PLUS_U = "twisted_plus_u"
 BASE_PLUS_I11 = "base_plus_i11"
 
 
-@dataclass(frozen=True)
-class SplitShape:
+class FrozenValue:
+    """Slotted, frozen value base, written by hand for the CLI's import path.
+
+    Equality, hashing and repr run over the class's `_fields` as a frozen
+    dataclass's do: equal only to an instance of the same class, repr in the
+    form Name(field=value, ...) with `__qualname__`. Assignment and deletion
+    are refused with dataclasses.FrozenInstanceError and the dataclass
+    message. Each subclass writes its own __init__ and fills its slots through
+    their descriptors' setters, bound once below the class (`slot_setters`).
+    Pickle and copy go through __reduce__, which calls the class again with
+    the field values; without it they would restore the slots through the
+    refusing __setattr__.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+def slot_setters(cls) -> tuple:
+    """The __set__ of each of cls's slot descriptors, in slot order."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+class SplitShape(FrozenValue):
     """Structural tag: leading block is `base` (twisted or not), trailing block rank 2.
 
     A base(2) + U tag also carries `image`, the base + I_1_1 lattice its
@@ -57,13 +103,17 @@ class SplitShape:
     repr ignore it.
     """
 
-    kind: str
-    base: "Lattice"
-    image: "Lattice | None" = field(init=False, default=None, compare=False, repr=False)
+    __slots__ = ("kind", "base", "image")
+    _fields = ("kind", "base")
 
-    def __post_init__(self):
-        if self.kind == TWISTED_PLUS_U:
-            object.__setattr__(self, "image", base_plus_i11(self.base, name=f"{self.base.name}_I11"))
+    def __init__(self, kind: str, base: "Lattice"):
+        _set_kind(self, kind)
+        _set_base(self, base)
+        image = base_plus_i11(base, name=f"{base.name}_I11") if kind == TWISTED_PLUS_U else None
+        _set_image(self, image)
+
+
+_set_kind, _set_base, _set_image = slot_setters(SplitShape)
 
 
 @dataclass(frozen=True)
@@ -104,11 +154,16 @@ def gram_terms(gram: matrix.IntMatrix) -> list[list[tuple[int, int]]]:
     return [[(j, g) for j, g in enumerate(row) if g] for row in gram]
 
 
-@dataclass(frozen=True)
-class Signature:
-    positive: int
-    negative: int
-    zero: int
+class Signature(FrozenValue):
+    __slots__ = _fields = ("positive", "negative", "zero")
+
+    def __init__(self, positive: int, negative: int, zero: int):
+        _set_positive(self, positive)
+        _set_negative(self, negative)
+        _set_zero(self, zero)
+
+
+_set_positive, _set_negative, _set_zero = slot_setters(Signature)
 
 
 def make_u() -> Lattice:

@@ -38,7 +38,7 @@ from .errors import (
     OddNormInEvenLattice,
     ZeroVector,
 )
-from .lattices import TWISTED_PLUS_U, Lattice, gram_vec, resolve, split_base
+from .lattices import TWISTED_PLUS_U, FrozenValue, Lattice, gram_vec, resolve, slot_setters, split_base
 from .vectors import LatticeVector, VectorType, is_primitive, norm, vec, vector_type
 
 
@@ -59,23 +59,38 @@ class ClassificationReport:
     label: OrbitLabel
 
 
-@dataclass(frozen=True)
-class WitnessResult:
-    witness: LatticeVector | None
-    parity_obstruction: bool
+class WitnessResult(FrozenValue):
+    __slots__ = _fields = ("witness", "parity_obstruction")
+
+    def __init__(self, witness: LatticeVector | None, parity_obstruction: bool):
+        _set_witness(self, witness)
+        _set_parity_obstruction(self, parity_obstruction)
 
 
-@dataclass(frozen=True)
-class HeegnerComponent:
-    label: OrbitLabel
-    representative: LatticeVector
+_set_witness, _set_parity_obstruction = slot_setters(WitnessResult)
 
 
-@dataclass(frozen=True)
-class HeegnerReport:
-    n: int
-    norm: int
-    components: tuple[HeegnerComponent, ...]
+class HeegnerComponent(FrozenValue):
+    __slots__ = _fields = ("label", "representative")
+
+    def __init__(self, label: OrbitLabel, representative: LatticeVector):
+        _set_label(self, label)
+        _set_representative(self, representative)
+
+
+_set_label, _set_representative = slot_setters(HeegnerComponent)
+
+
+class HeegnerReport(FrozenValue):
+    __slots__ = _fields = ("n", "norm", "components")
+
+    def __init__(self, n: int, norm: int, components: tuple[HeegnerComponent, ...]):
+        _set_n(self, n)
+        _set_norm(self, norm)
+        _set_components(self, components)
+
+
+_set_n, _set_norm, _set_components = slot_setters(HeegnerReport)
 
 
 def _require_primitive(v: LatticeVector):

@@ -5,6 +5,8 @@ raises explicitly, never with assert, so the helpers behave the same under
 python -O, which tier-1 also runs.
 """
 
+from dataclasses import dataclass, field
+
 from lattice_orbits.dilatation import HalfVector, is_integral
 from lattice_orbits.errors import (
     IsotropicReflectionVector,
@@ -18,9 +20,34 @@ from lattice_orbits.errors import (
     OddLattice,
     RankMismatch,
 )
-from lattice_orbits.lattices import BASE_PLUS_I11, Lattice, signature_and_determinant, split_base
-from lattice_orbits.matrix import IntMatrix
+from lattice_orbits.lattices import (
+    BASE_PLUS_I11,
+    TWISTED_PLUS_U,
+    Lattice,
+    base_plus_i11,
+    signature_and_determinant,
+    split_base,
+)
+from lattice_orbits.matrix import IntMatrix, require_ints
+from lattice_orbits.orbits import OrbitLabel
 from lattice_orbits.vectors import LatticeVector, VectorType, norm, vector_type
+
+
+# The package modules that `import lattice_orbits.cli` loads, besides the
+# package itself; every command pays for importing these.
+CLI_IMPORTS = ("cli", "dilatation", "errors", "jsonio", "lattices", "matrix", "orbits", "vectors")
+
+
+# The golden CLI calls: each file under tests/golden/ and the argv whose
+# stdout it holds, byte for byte.
+GOLDEN_CASES = (
+    (
+        "classify_odd.json",
+        ["classify", "--lattice", "Lminus", "--coords", "0,0,0,0,0,0,0,0,0,0,1,5"],
+    ),
+    ("rep_characteristic.json", ["rep", "--norm", "8", "--class", "characteristic"]),
+    ("heegner_range.json", ["heegner", "--from", "-2", "--to", "2"]),
+)
 
 
 # The sampled lattices and their generator blocks, written out by hand:
@@ -141,3 +168,60 @@ def integral_image(h: HalfVector) -> LatticeVector:
     if not is_integral(h):
         raise NotInHalfLattice("image has half-integral coordinates")
     return LatticeVector(h.base, tuple(d // 2 for d in h.doubled_coords))
+
+
+class Twins:
+    """Dataclass twins of the hand-written value classes on the CLI's import path.
+
+    Each is the frozen dataclass its class was before it was written by hand,
+    so a test can hold the two to the same equality, hashing, repr, frozen
+    refusal and pickle and copy behaviour. A twin's repr starts with
+    "Twins." where its class's starts with the bare name.
+    """
+
+    @dataclass(frozen=True)
+    class SplitShape:
+        kind: str
+        base: Lattice
+        image: Lattice | None = field(init=False, default=None, compare=False, repr=False)
+
+        def __post_init__(self):
+            if self.kind == TWISTED_PLUS_U:
+                object.__setattr__(self, "image", base_plus_i11(self.base, name=f"{self.base.name}_I11"))
+
+    @dataclass(frozen=True)
+    class Signature:
+        positive: int
+        negative: int
+        zero: int
+
+    @dataclass(frozen=True)
+    class HalfVector:
+        base: Lattice
+        doubled_coords: tuple[int, ...]
+
+        def __post_init__(self):
+            require_ints(self.doubled_coords, "each doubled coordinate")
+            r = split_base(self.base, BASE_PLUS_I11).rank
+            if len(self.doubled_coords) != self.base.rank:
+                raise RankMismatch(f"expected {self.base.rank} doubled coordinates")
+            if any(d % 2 != 0 for d in self.doubled_coords[:r]):
+                raise NotInHalfLattice("leading coordinates must be integral")
+            if (self.doubled_coords[r] - self.doubled_coords[r + 1]) % 2 != 0:
+                raise NotInHalfLattice("trailing half-coordinates must share a parity")
+
+    @dataclass(frozen=True)
+    class WitnessResult:
+        witness: LatticeVector | None
+        parity_obstruction: bool
+
+    @dataclass(frozen=True)
+    class HeegnerComponent:
+        label: OrbitLabel
+        representative: LatticeVector
+
+    @dataclass(frozen=True)
+    class HeegnerReport:
+        n: int
+        norm: int
+        components: tuple

@@ -43,7 +43,7 @@ from lattice_orbits.vectors import (
     vector_type,
 )
 from lattice_orbits.dilatation import is_integral
-from support import characteristic_by_parity
+from support import GOLDEN_CASES, characteristic_by_parity
 
 SEED = 42
 LMINUS = resolve("Lminus")
@@ -210,14 +210,6 @@ def test_criterion_09_structural_anchors():
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-GOLDEN_CASES = (
-    (
-        "classify_odd.json",
-        ["classify", "--lattice", "Lminus", "--coords", "0,0,0,0,0,0,0,0,0,0,1,5"],
-    ),
-    ("rep_characteristic.json", ["rep", "--norm", "8", "--class", "characteristic"]),
-    ("heegner_range.json", ["heegner", "--from", "-2", "--to", "2"]),
-)
 
 
 def test_criterion_10_cli_golden_bytes(cli_subprocess):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from referencing import Registry, Resource
 
+import lattice_orbits.__main__
 from lattice_orbits import cli, enumeration, isometries, lattices, oracle, orbits
 from lattice_orbits.cli import run
 from lattice_orbits.dilatation import HalfVector, half_target
@@ -19,7 +21,7 @@ from lattice_orbits.errors import LatticeShapeMismatch
 from lattice_orbits.lattices import resolve
 from lattice_orbits.orbits import OrbitLabel, classify, is_even_type, representative
 from lattice_orbits.vectors import vec
-from support import SAMPLING_BLOCKS, characteristic_by_parity
+from support import CLI_IMPORTS, GOLDEN_CASES, SAMPLING_BLOCKS, characteristic_by_parity
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -692,12 +694,13 @@ LIGHT_COMMANDS = [
     ["info", "--lattice", "Lminus"],
 ]
 
-# after each argv: its exit code and which of the enumeration and oracle modules are loaded
+# the package modules the import loads, then after each argv: its exit code
+# and which of the enumeration and oracle modules are loaded
 _LOADED_AFTER = """
 import io, json, sys
 from lattice_orbits.cli import run
+seen = [sorted(m for m in sys.modules if m.split(".")[0] == "lattice_orbits")]
 heavy = ("lattice_orbits.enumeration", "lattice_orbits.isometries", "lattice_orbits.oracle")
-seen = []
 for argv in json.loads(sys.argv[1]):
     code = run(argv, stdout=io.StringIO(), stderr=io.StringIO())
     seen.append([code, [m for m in heavy if m in sys.modules]])
@@ -709,7 +712,8 @@ def test_commands_load_only_what_they_run(package_env):
     argvs = [*LIGHT_COMMANDS, ["oracle-e8"]]  # the oracle command last, as a control
     proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)],
                           env=package_env, capture_output=True, text=True, check=True)
-    seen = json.loads(proc.stdout)
+    imported, *seen = json.loads(proc.stdout)
+    assert imported == ["lattice_orbits", *(f"lattice_orbits.{module}" for module in CLI_IMPORTS)]
     assert seen[:-1] == [[0, []]] * len(LIGHT_COMMANDS)
     assert seen[-1] == [0, ["lattice_orbits.enumeration", "lattice_orbits.isometries", "lattice_orbits.oracle"]]
 
@@ -738,9 +742,12 @@ def test_console_script_matches_in_process(cli_subprocess):
 
 
 def test_module_entry_is_console_script_target():
-    tomllib = pytest.importorskip("tomllib")
-    pyproject = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
-    assert pyproject["project"]["scripts"]["lattice-orbits"] == "lattice_orbits.cli:main"
+    # read without tomllib, which Python 3.10 lacks: the section's lines up to the next table
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    entries = re.findall(r'^([\w-]+)\s*=\s*"([^"]*)"\s*$', section, re.M)
+    assert entries == [("lattice-orbits", "lattice_orbits.cli:main")]
+    assert lattice_orbits.__main__.main is cli.main
 
 
 def run_module(argv, env):
@@ -774,6 +781,40 @@ def test_help_returns_to_caller(argv, package_env, monkeypatch):
     assert out.startswith("usage: lattice-orbits ")
     proc = run_module(argv, {**package_env, "COLUMNS": "100"})
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+# argvs whose outcome must not depend on the parser run builds, each with the
+# one command whose subparser run builds alone, or None for the full parser:
+# every command's help, help or an abbreviated --pretty before a command, no
+# command or an unknown one, and every golden argv
+_ONE_SUBPARSER = [
+    *(([name, "--help"], name) for name in cli._HANDLERS),
+    (["-h", "classify"], None),
+    (["--pretty", "classify", "--help"], "classify"),
+    (["--pre", "classify", f"--coords={ODD_COORDS}"], None),
+    ([], None),
+    (["--pretty"], None),
+    (["no-such-command"], None),
+    *((argv, argv[0]) for _, argv in GOLDEN_CASES),
+]
+
+
+@pytest.mark.parametrize("argv, command", _ONE_SUBPARSER)
+def test_one_subparser_runs_as_the_full_parser(argv, command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    one = run_cli(argv)
+    monkeypatch.setattr(cli, "_command", lambda argv: None)  # force the full parser
+    full = run_cli(argv)
+    assert built == [command, None]
+    assert one == full
+
+
+def test_the_full_parser_lists_every_handler():
+    code, out, _ = run_cli(["-h"])
+    assert code == 0 and "{" + ",".join(cli._HANDLERS) + "}" in out
 
 
 # CLI fuzz: every integer flag of every subcommand, plus the integers inside

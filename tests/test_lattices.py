@@ -1,11 +1,14 @@
 import ast
+import copy
 import dataclasses
 import hashlib
 import io
 import json
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +16,10 @@ from hypothesis import strategies as st
 
 from lattice_orbits import jsonio, lattices, matrix
 from lattice_orbits.cli import run
-from lattice_orbits.dilatation import dilate, half_target
+from lattice_orbits.dilatation import HalfVector, dilate, half_target
 from lattice_orbits.errors import (
     EmptyLattice,
+    LatticeError,
     LatticeShapeMismatch,
     NotInteger,
     RankMismatch,
@@ -41,9 +45,16 @@ from lattice_orbits.lattices import (
     twist,
     twisted_plus_u,
 )
-from lattice_orbits.orbits import OrbitLabel, classify, is_even_type
+from lattice_orbits.orbits import (
+    HeegnerComponent,
+    HeegnerReport,
+    OrbitLabel,
+    WitnessResult,
+    classify,
+    is_even_type,
+)
 from lattice_orbits.vectors import vec
-from support import transpose, wall_congruence_holds
+from support import Twins, transpose, wall_congruence_holds
 
 
 def test_u_gram_and_determinant():
@@ -685,3 +696,121 @@ def test_quadratic_matches_inner_and_dense_form(case):
     dense = sum(c[i] * lattice.gram[i][j] * c[j]
                 for i in range(lattice.rank) for j in range(lattice.rank))
     assert quadratic(lattice, c) == inner(lattice, c, c) == dense
+
+
+# The hand-written value classes against their dataclass twins in
+# tests/support.py. Each strategy draws a builder that makes one value from a
+# family of classes: the library's or the twins'.
+_REAL = SimpleNamespace(
+    SplitShape=lattices.SplitShape, Signature=Signature, HalfVector=HalfVector,
+    WitnessResult=WitnessResult, HeegnerComponent=HeegnerComponent, HeegnerReport=HeegnerReport,
+)
+_SMALL_INTS = st.integers(-2, 2)
+_SOME_VECTORS = st.sampled_from([  # the first two equal, but not the same object
+    vec(resolve("U"), (1, 0)), vec(resolve("U"), (1, 0)), vec(resolve("U2U"), (0, 0, 1, 2)),
+    vec(resolve("Lminus"), (0,) * 10 + (1, 5)),
+])
+_COMPONENTS = st.lists(st.tuples(st.sampled_from(list(OrbitLabel)), _SOME_VECTORS), max_size=2)
+
+
+def _half_vector(base, lead, b1, b2, defects):
+    """A builder of the doubled image of (lead, b1, b2) in base, spoilt by the defects."""
+    coords = [2 * a for a in lead[: base.rank - 2]] + [b1 + b2, b1 - b2]
+    if "odd leading" in defects:
+        coords[0] += 1
+    if "split parity" in defects:
+        coords[-1] += 1
+    if "short" in defects:
+        coords.pop()
+    if "float" in defects:
+        coords[-1] = float(coords[-1])
+    if "untagged" in defects:
+        base = resolve("U2U")
+    return lambda family: family.HalfVector(base, tuple(coords))
+
+
+# none, one, or two at once, so the order of the checks shows too
+_DEFECTS = [
+    (), ("odd leading",), ("split parity",), ("short",), ("float",), ("untagged",),
+    ("float", "untagged"), ("short", "untagged"), ("float", "short"), ("odd leading", "split parity"),
+]
+
+_VALUE_BUILDERS = {
+    "SplitShape": st.builds(
+        lambda kind, base: lambda family: family.SplitShape(kind, base),
+        st.sampled_from([lattices.TWISTED_PLUS_U, lattices.BASE_PLUS_I11]),
+        # two even unimodular bases, one even base of determinant 4, one odd base
+        st.sampled_from([resolve("U"), resolve("E8"), resolve("U2"), resolve("I_1_1")])),
+    "Signature": st.builds(
+        lambda p, n, z: lambda family: family.Signature(p, n, z), _SMALL_INTS, _SMALL_INTS, _SMALL_INTS),
+    "HalfVector": st.builds(
+        _half_vector, st.sampled_from([resolve("U_I11"), resolve("E8_U_I11")]),
+        st.lists(_SMALL_INTS, min_size=10, max_size=10), _SMALL_INTS, _SMALL_INTS,
+        st.sampled_from(_DEFECTS)),
+    "WitnessResult": st.builds(
+        lambda w, p: lambda family: family.WitnessResult(w, p), st.none() | _SOME_VECTORS, st.booleans()),
+    "HeegnerComponent": st.builds(
+        lambda label, v: lambda family: family.HeegnerComponent(label, v),
+        st.sampled_from(list(OrbitLabel)), _SOME_VECTORS),
+    "HeegnerReport": st.builds(
+        lambda n, norm, comps: lambda family: family.HeegnerReport(
+            n, norm, tuple(family.HeegnerComponent(label, v) for label, v in comps)),
+        _SMALL_INTS, _SMALL_INTS, _COMPONENTS),
+}
+
+
+def _made(builder, family):
+    """The value the builder makes, or the (class, message) of what it raises."""
+    try:
+        return builder(family)
+    except (LatticeError, NotInteger) as exc:
+        return type(exc), str(exc)
+
+
+def _refusal(action, *args):
+    with pytest.raises(dataclasses.FrozenInstanceError) as info:
+        action(*args)
+    return type(info.value), str(info.value)
+
+
+def _untwin(text: str) -> str:
+    return text.replace("Twins.", "")
+
+
+@pytest.mark.parametrize("name", sorted(_VALUE_BUILDERS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_hand_written_values_match_their_dataclass_twins(name, data):
+    first, second = (data.draw(_VALUE_BUILDERS[name]) for _ in range(2))
+    value, twin = _made(first, _REAL), _made(first, Twins)
+    if isinstance(twin, tuple):  # a refused construction is refused alike
+        assert value == twin
+        return
+    assert type(value).__name__ == name and not dataclasses.is_dataclass(value)
+    assert not hasattr(value, "__dict__")
+    assert repr(value) == _untwin(repr(twin))
+    assert hash(value) == hash(twin)
+    other, other_twin = _made(second, _REAL), _made(second, Twins)
+    if not isinstance(other_twin, tuple):
+        assert (value == other, value != other) == (twin == other_twin, twin != other_twin)
+        assert (hash(value) == hash(other)) == (hash(twin) == hash(other_twin))
+    # another class never compares equal, even the twin
+    assert value.__eq__(twin) is NotImplemented and twin.__eq__(value) is NotImplemented
+    assert value != twin and value.__eq__(object()) is NotImplemented
+    for attr in (*value._fields, "image" if name == "SplitShape" else "extra", "extra"):
+        assert _refusal(setattr, value, attr, 1) == _refusal(setattr, twin, attr, 1)
+        assert _refusal(delattr, value, attr) == _refusal(delattr, twin, attr)
+    for trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        back, twin_back = trip(value), trip(twin)
+        assert type(back) is type(value) and back == value and hash(back) == hash(value)
+        assert twin_back == twin and repr(back) == _untwin(repr(twin_back))
+        if name == "SplitShape":
+            assert back.image == value.image == twin.image
+
+
+@pytest.mark.parametrize("defects", [defects for defects in _DEFECTS if defects])
+def test_half_vectors_refuse_as_their_twin_does(defects):
+    # every defect and pair of defects, which the draws above may miss
+    for base in (resolve("U_I11"), resolve("E8_U_I11")):
+        build = _half_vector(base, [1] * 10, 1, 0, defects)
+        assert _made(build, _REAL) == _made(build, Twins)

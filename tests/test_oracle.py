@@ -195,6 +195,18 @@ def test_random_primitive():
     assert again == v
 
 
+def test_random_primitive_redraws_the_zero_vector():
+    # seed 0's first U draw at bound 1 is the zero vector, its second (-1, 0)
+    rng = random.Random(0)
+    draws = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(2)]
+    assert draws == [(0, 0), (-1, 0)]
+    u = resolve("U")
+    seeded = random.Random(0)
+    v = random_primitive(u, seeded, 1)
+    assert v.lattice is u and v.coords == (-1, 0)
+    assert seeded.getstate() == rng.getstate()  # two draws taken, no more
+
+
 def test_invariance_suite_passes():
     result = invariance_suite(LMINUS, 200, 42)
     assert result.status == "pass"

@@ -11,12 +11,16 @@ Two rules over the package source, read with the stdlib ast module:
 A helper that only tests call belongs in tests/support.py. Two more rules
 keep a decision in its one home: a norm <x, x> goes through
 lattices.quadratic, never inner(l, x, x), and the try-resolve-compare of the
-built-in test lives only in lattices.is_builtin.
+built-in test lives only in lattices.is_builtin. A last rule keeps the CLI's
+import cheap: on its import path @dataclass decorates only the classes whose
+dataclass API tests pin.
 """
 
 import ast
 import re
 from pathlib import Path
+
+from support import CLI_IMPORTS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "lattice_orbits"
@@ -192,3 +196,32 @@ def test_the_one_home_rules_see_what_they_claim():
     planted = "def f(name, l):\n    try:\n        return resolve(name) == l\n    except LatticeError:\n        return False\n"
     assert _builtin_tests(ast.parse(planted)) == ["f"]
     assert _builtin_tests(ast.parse(planted.replace("LatticeError", "KeyError"))) == []
+
+
+def _dataclasses(tree: ast.Module) -> list[str]:
+    """Classes decorated with @dataclass or @dataclasses.dataclass, called or bare."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+                if name == "dataclass":
+                    found.append(node.name)
+    return found
+
+
+# the classes whose dataclass API tests pin: dataclasses.fields and replace
+# on Lattice and LatticeVector, replace on ClassificationReport
+PINNED_DATACLASSES = {"lattices.Lattice", "vectors.LatticeVector", "orbits.ClassificationReport"}
+
+
+def test_the_cli_import_path_decorates_only_the_pinned_dataclasses():
+    # each @dataclass costs the import of every command a generated __init__,
+    # __eq__, __repr__ and more; the other value classes derive from
+    # lattices.FrozenValue
+    trees = _package_trees()
+    found = {f"{module}.{name}" for module in CLI_IMPORTS for name in _dataclasses(trees[module])}
+    assert found == PINNED_DATACLASSES
+    planted = "@dataclass\nclass A: pass\n@dataclasses.dataclass(frozen=True)\nclass B: pass\n@other\nclass C: pass\n"
+    assert _dataclasses(ast.parse(planted)) == ["A", "B"]
