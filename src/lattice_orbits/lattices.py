@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import FrozenInstanceError, dataclass
 
 from . import matrix
 from .errors import (
@@ -54,11 +53,12 @@ class FrozenValue:
     dataclass's do: equal only to an instance of the same class, repr in the
     form Name(field=value, ...) with `__qualname__`. Assignment and deletion
     are refused with dataclasses.FrozenInstanceError and the dataclass
-    message. Each subclass writes its own __init__ and fills its slots through
-    their descriptors' setters, bound once below the class (`slot_setters`).
-    Pickle and copy go through __reduce__, which calls the class again with
-    the field values; without it they would restore the slots through the
-    refusing __setattr__.
+    message; `dataclasses` is imported only then, so the import path never
+    loads it. Each subclass writes its own __init__ and fills its slots
+    through their descriptors' setters, bound once below the class
+    (`slot_setters`). Pickle and copy go through __reduce__, which calls the
+    class again with the field values; without it they would restore the
+    slots through the refusing __setattr__.
     """
 
     __slots__ = ()
@@ -80,9 +80,13 @@ class FrozenValue:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
@@ -116,37 +120,59 @@ class SplitShape(FrozenValue):
 _set_kind, _set_base, _set_image = slot_setters(SplitShape)
 
 
-@dataclass(frozen=True)
-class Lattice:
-    name: str
-    rank: int
-    gram: matrix.IntMatrix
-    shape: SplitShape | None = None
+class Lattice(FrozenValue):
+    """A rank, a symmetric integer Gram matrix of that size, and an optional shape tag.
 
-    def __post_init__(self):
-        matrix.require_ints((self.rank,), "the lattice rank")
-        if self.rank <= 0:
+    The Gram is frozen into a tuple of tuples before it is checked, so a
+    list Gram gives the same value, hash and terms as a tuple one. Equality
+    is checked identity first, as `is_builtin` and the isometry layer compare
+    lattices on every call. `terms` and `upper_terms` are derived slots
+    outside the fields, as `SplitShape.image` is.
+    """
+
+    __slots__ = ("name", "rank", "gram", "shape", "terms", "upper_terms")
+    _fields = ("name", "rank", "gram", "shape")
+
+    def __init__(self, name: str, rank: int, gram: matrix.IntMatrix, shape: SplitShape | None = None):
+        matrix.require_ints((rank,), "the lattice rank")
+        if rank <= 0:
             raise EmptyLattice("lattice rank must be positive")
-        if len(self.gram) != self.rank:
-            raise RankMismatch(f"gram matrix is not {self.rank}x{self.rank}")
-        for row in self.gram:
-            if len(row) != self.rank:
-                raise RankMismatch(f"gram matrix is not {self.rank}x{self.rank}")
+        gram = matrix.freeze(gram)
+        if len(gram) != rank:
+            raise RankMismatch(f"gram matrix is not {rank}x{rank}")
+        for row in gram:
+            if len(row) != rank:
+                raise RankMismatch(f"gram matrix is not {rank}x{rank}")
             matrix.require_ints(row, "each gram entry")
-        if not matrix.is_symmetric(self.gram):
+        if not matrix.is_symmetric(gram):
             raise LatticeShapeMismatch("gram matrix is not symmetric")
-        # Derived here and set outside the fields, so equality, hashing and repr
-        # ignore them; set through object.__setattr__, not cached_property, which
-        # writes through __dict__ and costs the instance its inline attributes.
+        _set_name(self, name)
+        _set_rank(self, rank)
+        _set_gram(self, gram)
+        _set_shape(self, shape)
         # terms: the nonzero (j, g) of each Gram row, as lists, not
         # tuple(generator), whose resizing fills CPython's tuple free lists.
         # upper_terms: (i, j, k) per nonzero entry with i <= j, k the entry on
         # the diagonal and twice it above, so sum k*c[i]*c[j] is c^T G c.
-        terms = gram_terms(self.gram)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "upper_terms", [
+        terms = gram_terms(gram)
+        _set_terms(self, terms)
+        _set_upper_terms(self, [
             (i, j, g if i == j else 2 * g) for i, row in enumerate(terms) for j, g in row if i <= j
         ])
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # a tuple compares its items identity first, so shared rows and tags are cheap
+        mine = (self.name, self.rank, self.gram, self.shape)
+        return mine == (other.name, other.rank, other.gram, other.shape)
+
+    __hash__ = FrozenValue.__hash__  # defining __eq__ alone would unset it
+
+
+_set_name, _set_rank, _set_gram, _set_shape, _set_terms, _set_upper_terms = slot_setters(Lattice)
 
 
 def gram_terms(gram: matrix.IntMatrix) -> list[list[tuple[int, int]]]:

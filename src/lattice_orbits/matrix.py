@@ -32,7 +32,9 @@ def freeze(rows) -> IntMatrix:
 
 
 def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    """The n x n identity; row i is a slice of one row with its 1 in the middle."""
+    row = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+    return tuple([row[n - 1 - i:2 * n - 1 - i] for i in range(n)])
 
 
 def is_symmetric(m: IntMatrix) -> bool:

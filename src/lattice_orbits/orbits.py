@@ -24,7 +24,6 @@ and otherwise even_witness writes a witness down in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .dilatation import dilate, is_integral
@@ -48,15 +47,23 @@ class OrbitLabel(Enum):
     EVEN_ORDINARY = "even_ordinary"
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    vector: LatticeVector
-    norm: int
-    n: int
-    primitive: bool
-    vtype: VectorType
-    phi_integral: bool
-    label: OrbitLabel
+class ClassificationReport(FrozenValue):
+    __slots__ = _fields = ("vector", "norm", "n", "primitive", "vtype", "phi_integral", "label")
+
+    def __init__(self, vector: LatticeVector, norm: int, n: int, primitive: bool, vtype: VectorType,
+                 phi_integral: bool, label: OrbitLabel):
+        _set_report_vector(self, vector)
+        _set_report_norm(self, norm)
+        _set_report_n(self, n)
+        _set_report_primitive(self, primitive)
+        _set_report_vtype(self, vtype)
+        _set_report_phi_integral(self, phi_integral)
+        _set_report_label(self, label)
+
+
+# named apart from the setters of the classes below, which share field names
+(_set_report_vector, _set_report_norm, _set_report_n, _set_report_primitive, _set_report_vtype,
+ _set_report_phi_integral, _set_report_label) = slot_setters(ClassificationReport)
 
 
 class WitnessResult(FrozenValue):

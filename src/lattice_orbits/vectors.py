@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 
 from .errors import RankMismatch, ZeroVector
-from .lattices import Lattice, gram_vec, inner, quadratic
+from .lattices import FrozenValue, Lattice, gram_vec, inner, quadratic, slot_setters
 from .matrix import require_ints
 
 
@@ -24,23 +23,18 @@ class VectorType(Enum):
     ORDINARY = "ordinary"
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeVector:
+class LatticeVector(FrozenValue):
     """Slotted, with one hand-written __init__; box scans build theirs in bulk.
 
     The trusted raw constructor, as `vectors_of` is: it checks the rank, not
     that the entries are ints; `vec` refuses a non-int coordinate.
 
     __init__ checks the rank and writes both fields through their slot
-    descriptors' setters, bound once below the class, instead of looking each
-    name up through object.__setattr__; `vectors_of` does the same for a whole
-    list of coordinate tuples. The frozen __setattr__ still refuses every
-    later assignment; replace, pickle and copy go through the dataclass
-    machinery as before.
+    descriptors' setters, bound once below the class; `vectors_of` does the
+    same for a whole list of coordinate tuples.
     """
 
-    lattice: Lattice
-    coords: tuple[int, ...]
+    __slots__ = _fields = ("lattice", "coords")
 
     def __init__(self, lattice: Lattice, coords: tuple[int, ...]):
         if len(coords) != lattice.rank:
@@ -49,8 +43,7 @@ class LatticeVector:
         _set_coords(self, coords)
 
 
-_set_lattice = LatticeVector.lattice.__set__
-_set_coords = LatticeVector.coords.__set__
+_set_lattice, _set_coords = slot_setters(LatticeVector)
 
 
 def _rank_mismatch(lattice: Lattice, coords) -> RankMismatch:

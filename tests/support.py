@@ -9,8 +9,10 @@ from dataclasses import dataclass, field
 
 from lattice_orbits.dilatation import HalfVector, is_integral
 from lattice_orbits.errors import (
+    EmptyLattice,
     IsotropicReflectionVector,
     LatticeError,
+    LatticeShapeMismatch,
     NotInHalfLattice,
     NotInteger,
     NotIntegralReflection,
@@ -24,11 +26,13 @@ from lattice_orbits.lattices import (
     BASE_PLUS_I11,
     TWISTED_PLUS_U,
     Lattice,
+    SplitShape,
     base_plus_i11,
+    gram_terms,
     signature_and_determinant,
     split_base,
 )
-from lattice_orbits.matrix import IntMatrix, require_ints
+from lattice_orbits.matrix import IntMatrix, freeze, is_symmetric, require_ints
 from lattice_orbits.orbits import OrbitLabel
 from lattice_orbits.vectors import LatticeVector, VectorType, norm, vector_type
 
@@ -176,7 +180,8 @@ class Twins:
     Each is the frozen dataclass its class was before it was written by hand,
     so a test can hold the two to the same equality, hashing, repr, frozen
     refusal and pickle and copy behaviour. A twin's repr starts with
-    "Twins." where its class's starts with the bare name.
+    "Twins." where its class's starts with the bare name. The Lattice twin
+    also freezes its Gram, as Lattice began to when it was written by hand.
     """
 
     @dataclass(frozen=True)
@@ -188,6 +193,56 @@ class Twins:
         def __post_init__(self):
             if self.kind == TWISTED_PLUS_U:
                 object.__setattr__(self, "image", base_plus_i11(self.base, name=f"{self.base.name}_I11"))
+
+    @dataclass(frozen=True)
+    class Lattice:
+        name: str
+        rank: int
+        gram: IntMatrix
+        shape: SplitShape | None = None
+
+        def __post_init__(self):
+            require_ints((self.rank,), "the lattice rank")
+            if self.rank <= 0:
+                raise EmptyLattice("lattice rank must be positive")
+            object.__setattr__(self, "gram", freeze(self.gram))
+            if len(self.gram) != self.rank:
+                raise RankMismatch(f"gram matrix is not {self.rank}x{self.rank}")
+            for row in self.gram:
+                if len(row) != self.rank:
+                    raise RankMismatch(f"gram matrix is not {self.rank}x{self.rank}")
+                require_ints(row, "each gram entry")
+            if not is_symmetric(self.gram):
+                raise LatticeShapeMismatch("gram matrix is not symmetric")
+            terms = gram_terms(self.gram)
+            object.__setattr__(self, "terms", terms)
+            object.__setattr__(self, "upper_terms", [
+                (i, j, g if i == j else 2 * g) for i, row in enumerate(terms) for j, g in row if i <= j
+            ])
+
+    # not slots=True: a frozen slotted dataclass, at least on Python 3.11,
+    # answers an assignment to a name outside its fields with TypeError, from
+    # the super() call in its generated __setattr__, not FrozenInstanceError
+    @dataclass(frozen=True)
+    class LatticeVector:
+        lattice: Lattice
+        coords: tuple[int, ...]
+
+        def __post_init__(self):
+            if len(self.coords) != self.lattice.rank:
+                raise RankMismatch(
+                    f"{self.lattice.name} needs {self.lattice.rank} coordinates, got {len(self.coords)}"
+                )
+
+    @dataclass(frozen=True)
+    class ClassificationReport:
+        vector: LatticeVector
+        norm: int
+        n: int
+        primitive: bool
+        vtype: VectorType
+        phi_integral: bool
+        label: OrbitLabel
 
     @dataclass(frozen=True)
     class Signature:

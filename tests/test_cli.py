@@ -694,16 +694,19 @@ LIGHT_COMMANDS = [
     ["info", "--lattice", "Lminus"],
 ]
 
-# the package modules the import loads, then after each argv: its exit code
-# and which of the enumeration and oracle modules are loaded
+# the package modules and costly stdlib modules the import loads, then after
+# each argv: its exit code, which of the enumeration and oracle modules and
+# which of the costly stdlib modules are loaded
 _LOADED_AFTER = """
 import io, json, sys
 from lattice_orbits.cli import run
-seen = [sorted(m for m in sys.modules if m.split(".")[0] == "lattice_orbits")]
 heavy = ("lattice_orbits.enumeration", "lattice_orbits.isometries", "lattice_orbits.oracle")
+costly = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+seen = [[sorted(m for m in sys.modules if m.split(".")[0] == "lattice_orbits"),
+         [m for m in costly if m in sys.modules]]]
 for argv in json.loads(sys.argv[1]):
     code = run(argv, stdout=io.StringIO(), stderr=io.StringIO())
-    seen.append([code, [m for m in heavy if m in sys.modules]])
+    seen.append([code, [m for m in heavy if m in sys.modules], [m for m in costly if m in sys.modules]])
 print(json.dumps(seen))
 """
 
@@ -713,9 +716,32 @@ def test_commands_load_only_what_they_run(package_env):
     proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)],
                           env=package_env, capture_output=True, text=True, check=True)
     imported, *seen = json.loads(proc.stdout)
-    assert imported == ["lattice_orbits", *(f"lattice_orbits.{module}" for module in CLI_IMPORTS)]
-    assert seen[:-1] == [[0, []]] * len(LIGHT_COMMANDS)
-    assert seen[-1] == [0, ["lattice_orbits.enumeration", "lattice_orbits.isometries", "lattice_orbits.oracle"]]
+    # no dataclass on the import path, so neither dataclasses nor what it imports
+    assert imported == [["lattice_orbits", *(f"lattice_orbits.{module}" for module in CLI_IMPORTS)], []]
+    assert seen[:-1] == [[0, [], []]] * len(LIGHT_COMMANDS)
+    code, heavy, costly = seen[-1]  # isometries keeps its dataclass
+    assert [code, heavy] == [0, ["lattice_orbits.enumeration", "lattice_orbits.isometries", "lattice_orbits.oracle"]]
+    assert "dataclasses" in costly
+
+
+_FIRST_REFUSAL = """
+import sys
+import lattice_orbits.cli
+from lattice_orbits.lattices import resolve
+loaded = "dataclasses" in sys.modules
+try:
+    resolve("U").name = "V"
+except Exception as exc:
+    import dataclasses
+    print(loaded, type(exc) is dataclasses.FrozenInstanceError, exc)
+"""
+
+
+def test_a_fresh_interpreters_first_refusal_is_a_frozen_instance_error(package_env):
+    # FrozenValue imports dataclasses only to refuse, and refuses as a dataclass does
+    proc = subprocess.run([sys.executable, "-c", _FIRST_REFUSAL],
+                          env=package_env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False True cannot assign to field 'name'\n"
 
 
 def test_usage_errors():

@@ -46,6 +46,7 @@ from lattice_orbits.lattices import (
     twisted_plus_u,
 )
 from lattice_orbits.orbits import (
+    ClassificationReport,
     HeegnerComponent,
     HeegnerReport,
     OrbitLabel,
@@ -53,7 +54,7 @@ from lattice_orbits.orbits import (
     classify,
     is_even_type,
 )
-from lattice_orbits.vectors import vec
+from lattice_orbits.vectors import LatticeVector, VectorType, vec
 from support import Twins, transpose, wall_congruence_holds
 
 
@@ -328,15 +329,49 @@ def test_fixed_builtins_are_nondegenerate():
 def test_terms_are_derived_at_construction_and_outside_equality():
     gram = ((2, 0, -1), (0, 0, 0), (-1, 0, 4))
     lattice = Lattice("T", 3, gram)
-    # set by __post_init__, as plain attributes rather than fields
-    assert {"terms", "upper_terms"} <= vars(lattice).keys()
-    assert {f.name for f in dataclasses.fields(lattice)} == {"name", "rank", "gram", "shape"}
+    # set by __init__, as slots outside the fields
+    assert {"terms", "upper_terms"} <= set(Lattice.__slots__) and not hasattr(lattice, "__dict__")
+    assert Lattice._fields == ("name", "rank", "gram", "shape")
     assert lattice.terms == [[(0, 2), (2, -1)], [], [(0, -1), (2, 4)]]
     assert lattice.upper_terms == [(0, 0, 2), (0, 2, -2), (2, 2, 4)]  # off-diagonal doubled
     twin = Lattice("T", 3, gram)
     assert lattice == twin and hash(lattice) == hash(twin) and repr(lattice) == repr(twin)
     assert "terms" not in repr(lattice)
-    assert dataclasses.replace(lattice, name="U").terms == lattice.terms
+    # a changed field goes through the constructor: checked again, terms rebuilt
+    assert Lattice("U", lattice.rank, lattice.gram, lattice.shape).terms == lattice.terms
+    changed = Lattice("T", 3, ((2, 0, -1), (0, 6, 0), (-1, 0, 4)))
+    assert changed != lattice and changed.terms[1] == [(1, 6)]
+    assert changed.upper_terms == [(0, 0, 2), (0, 2, -2), (1, 1, 6), (2, 2, 4)]
+    with pytest.raises(LatticeShapeMismatch, match="gram matrix is not symmetric"):
+        Lattice("T", 3, ((2, 0, -1), (0, 0, 0), (1, 0, 4)))
+    with pytest.raises(RankMismatch, match="gram matrix is not 2x2"):
+        Lattice("T", 2, gram)
+
+
+def test_a_list_gram_is_frozen_before_it_is_checked():
+    u = Lattice("U", 2, [[0, 1], [1, 0]])
+    assert u == resolve("U") and hash(u) == hash(resolve("U")) and is_builtin(u)
+    assert type(u.gram) is tuple and all(type(row) is tuple for row in u.gram)
+    with pytest.raises(TypeError):
+        u.gram[0][1] = 5
+    rows = [[2, -1], [-1, 2]]
+    a2 = Lattice("A2", 2, rows)
+    rows[0][1] = rows[1][0] = 5  # the caller's lists no longer reach the lattice
+    assert a2.gram == ((2, -1), (-1, 2)) and quadratic(a2, (1, 1)) == 2 == inner(a2, (1, 1), (1, 1))
+    # the checks read the frozen rows, in the same order and with the same text
+    with pytest.raises(RankMismatch, match="gram matrix is not 2x2"):
+        Lattice("X", 2, [[0, 1], [1]])
+    with pytest.raises(NotInteger, match="each gram entry must be an integer"):
+        Lattice("X", 2, [[0, 1.0], [1.0, 0]])
+    with pytest.raises(LatticeShapeMismatch):
+        Lattice("X", 2, [[0, 1], [2, 0]])
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_identity_is_the_textbook_identity(n):
+    eye = matrix.identity(n)
+    assert eye == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert type(eye) is tuple and all(type(row) is tuple for row in eye)
 
 
 def _dense_inertia(gram) -> Signature:
@@ -702,9 +737,12 @@ def test_quadratic_matches_inner_and_dense_form(case):
 # tests/support.py. Each strategy draws a builder that makes one value from a
 # family of classes: the library's or the twins'.
 _REAL = SimpleNamespace(
+    Lattice=Lattice, LatticeVector=LatticeVector, ClassificationReport=ClassificationReport,
     SplitShape=lattices.SplitShape, Signature=Signature, HalfVector=HalfVector,
     WitnessResult=WitnessResult, HeegnerComponent=HeegnerComponent, HeegnerReport=HeegnerReport,
 )
+# the slots each class derives outside its fields
+_DERIVED = {"Lattice": ("terms", "upper_terms"), "SplitShape": ("image",)}
 _SMALL_INTS = st.integers(-2, 2)
 _SOME_VECTORS = st.sampled_from([  # the first two equal, but not the same object
     vec(resolve("U"), (1, 0)), vec(resolve("U"), (1, 0)), vec(resolve("U2U"), (0, 0, 1, 2)),
@@ -735,7 +773,32 @@ _DEFECTS = [
     ("float", "untagged"), ("short", "untagged"), ("float", "short"), ("odd leading", "split parity"),
 ]
 
+# Grams as tuples and as lists, and some refused: a short row, a float, a
+# bool, an asymmetric entry
+_GRAMS = [
+    ((0, 1), (1, 0)), [[0, 1], [1, 0]], [(2, -1), [-1, 2]], ((2,),), [[-4]], ((0, 1), (1,)),
+    ((1, 0.5), (0.5, 1)), ((True,),), ((1, 2), (3, 4)),
+]
+
+
+def _lattice(name, rank, gram, shape):
+    """A builder of the lattice; a rank of None is the Gram's length."""
+    rank = len(gram) if rank is None else rank
+    return lambda family: family.Lattice(name, rank, gram, shape)
+
+
 _VALUE_BUILDERS = {
+    "Lattice": st.builds(
+        _lattice, st.sampled_from(["U", "T"]), st.sampled_from([None, None, 1, 0, -1, 2.0, True]),
+        st.sampled_from(_GRAMS), st.sampled_from([None, resolve("U2U").shape])),
+    "LatticeVector": st.builds(
+        lambda lattice, coords: lambda family: family.LatticeVector(lattice, coords),
+        st.sampled_from([resolve("U"), Lattice("U", 2, [[0, 1], [1, 0]]), resolve("U2U")]),
+        st.lists(_SMALL_INTS, min_size=0, max_size=4).map(tuple)),
+    "ClassificationReport": st.builds(
+        lambda v, norm, n, p, t, i, label: lambda family: family.ClassificationReport(v, norm, n, p, t, i, label),
+        _SOME_VECTORS, _SMALL_INTS, _SMALL_INTS, st.booleans(), st.sampled_from(list(VectorType)),
+        st.booleans(), st.sampled_from(list(OrbitLabel))),
     "SplitShape": st.builds(
         lambda kind, base: lambda family: family.SplitShape(kind, base),
         st.sampled_from([lattices.TWISTED_PLUS_U, lattices.BASE_PLUS_I11]),
@@ -797,15 +860,15 @@ def test_hand_written_values_match_their_dataclass_twins(name, data):
     # another class never compares equal, even the twin
     assert value.__eq__(twin) is NotImplemented and twin.__eq__(value) is NotImplemented
     assert value != twin and value.__eq__(object()) is NotImplemented
-    for attr in (*value._fields, "image" if name == "SplitShape" else "extra", "extra"):
+    for attr in (*value._fields, *_DERIVED.get(name, ()), "extra"):
         assert _refusal(setattr, value, attr, 1) == _refusal(setattr, twin, attr, 1)
         assert _refusal(delattr, value, attr) == _refusal(delattr, twin, attr)
     for trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
         back, twin_back = trip(value), trip(twin)
         assert type(back) is type(value) and back == value and hash(back) == hash(value)
         assert twin_back == twin and repr(back) == _untwin(repr(twin_back))
-        if name == "SplitShape":
-            assert back.image == value.image == twin.image
+        for attr in _DERIVED.get(name, ()):
+            assert getattr(back, attr) == getattr(value, attr) == getattr(twin, attr)
 
 
 @pytest.mark.parametrize("defects", [defects for defects in _DEFECTS if defects])

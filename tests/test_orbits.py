@@ -343,7 +343,6 @@ def test_invariant_violation_is_not_a_domain_error():
 def test_cross_checks_survive_python_O(package_env):
     code = textwrap.dedent(
         """
-        import dataclasses
         from lattice_orbits import orbits
         from lattice_orbits.errors import InvariantViolation
         from lattice_orbits.lattices import resolve
@@ -358,9 +357,13 @@ def test_cross_checks_survive_python_O(package_env):
         except InvariantViolation as exc:
             print("classify raised:", exc)
         orbits.is_integral = honest_integral
-        orbits.classify = lambda v: dataclasses.replace(
-            honest_classify(v), label=orbits.OrbitLabel.ODD
-        )
+        def forged(v):  # the honest report, relabelled odd
+            r = honest_classify(v)
+            return orbits.ClassificationReport(
+                r.vector, r.norm, r.n, r.primitive, r.vtype, r.phi_integral, orbits.OrbitLabel.ODD
+            )
+
+        orbits.classify = forged
         try:
             orbits.representative(8, orbits.OrbitLabel.EVEN_ORDINARY)
         except InvariantViolation as exc:

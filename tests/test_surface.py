@@ -12,8 +12,8 @@ A helper that only tests call belongs in tests/support.py. Two more rules
 keep a decision in its one home: a norm <x, x> goes through
 lattices.quadratic, never inner(l, x, x), and the try-resolve-compare of the
 built-in test lives only in lattices.is_builtin. A last rule keeps the CLI's
-import cheap: on its import path @dataclass decorates only the classes whose
-dataclass API tests pin.
+import cheap: no module on its import path uses @dataclass or imports
+dataclasses when it is imported.
 """
 
 import ast
@@ -211,17 +211,37 @@ def _dataclasses(tree: ast.Module) -> list[str]:
     return found
 
 
-# the classes whose dataclass API tests pin: dataclasses.fields and replace
-# on Lattice and LatticeVector, replace on ClassificationReport
-PINNED_DATACLASSES = {"lattices.Lattice", "vectors.LatticeVector", "orbits.ClassificationReport"}
+def _import_time_nodes(node: ast.AST):
+    """The nodes under `node` that run when the module is imported: none inside a function."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
 
 
-def test_the_cli_import_path_decorates_only_the_pinned_dataclasses():
-    # each @dataclass costs the import of every command a generated __init__,
-    # __eq__, __repr__ and more; the other value classes derive from
-    # lattices.FrozenValue
+def _dataclasses_imports(tree: ast.Module) -> list[int]:
+    """Lines that import dataclasses, or a name from it, when the module is imported."""
+    return [
+        node.lineno for node in _import_time_nodes(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names))
+    ]
+
+
+def test_the_cli_import_path_has_no_dataclasses():
+    # dataclasses costs the import of every command 6-8 ms, most of it
+    # inspect; the value classes derive from lattices.FrozenValue, whose
+    # refusals import FrozenInstanceError only when they raise
     trees = _package_trees()
-    found = {f"{module}.{name}" for module in CLI_IMPORTS for name in _dataclasses(trees[module])}
-    assert found == PINNED_DATACLASSES
+    decorated = [f"{module}.{name}" for module in CLI_IMPORTS for name in _dataclasses(trees[module])]
+    imports = [f"{module}:{line}" for module in CLI_IMPORTS for line in _dataclasses_imports(trees[module])]
+    assert decorated == [] and imports == []
     planted = "@dataclass\nclass A: pass\n@dataclasses.dataclass(frozen=True)\nclass B: pass\n@other\nclass C: pass\n"
     assert _dataclasses(ast.parse(planted)) == ["A", "B"]
+    planted = (
+        "import dataclasses\nfrom dataclasses import field\nimport os, dataclasses as dc\n"
+        "class A:\n    from dataclasses import fields\n"
+        "def f():\n    from dataclasses import FrozenInstanceError\n"
+        "if True:\n    import dataclasses\n"
+    )
+    assert _dataclasses_imports(ast.parse(planted)) == [1, 2, 3, 5, 9]

@@ -170,7 +170,7 @@ def test_lattice_vector_is_frozen():
         v.coords = (0,) * 12
     with pytest.raises(dataclasses.FrozenInstanceError):
         v.lattice = resolve("U")
-    with pytest.raises((AttributeError, TypeError)):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         v.extra = 1
     assert v.coords == (0,) * 10 + (1, 4)
 
@@ -178,14 +178,14 @@ def test_lattice_vector_is_frozen():
 def test_lattice_vector_replace_and_round_trips():
     u2u = resolve("U2U")
     v = vec(u2u, (1, 0, -1, 2))
-    moved = dataclasses.replace(v, coords=(0, 1, 0, 0))
+    # a changed field goes through the constructor, which checks the rank again
+    moved = LatticeVector(v.lattice, (0, 1, 0, 0))
     assert moved == vec(u2u, (0, 1, 0, 0)) and moved.lattice is u2u
     with pytest.raises(RankMismatch, match="U2U needs 4 coordinates, got 2"):
-        dataclasses.replace(v, coords=(1, 0))
+        LatticeVector(v.lattice, (1, 0))
     for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
         assert twin == v and hash(twin) == hash(v) and twin.coords == (1, 0, -1, 2)
-    assert dataclasses.astuple(v)[1] == (1, 0, -1, 2)
-    assert [f.name for f in dataclasses.fields(LatticeVector)] == ["lattice", "coords"]
+    assert LatticeVector._fields == ("lattice", "coords") and v.__reduce__() == (LatticeVector, (u2u, (1, 0, -1, 2)))
 
 
 def test_lattice_vector_rank_mismatch_text():
@@ -224,12 +224,12 @@ def test_vectors_of_gives_frozen_slotted_vectors():
         v.coords = (0, 0, 0, 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         v.lattice = resolve("U")
-    with pytest.raises((AttributeError, TypeError)):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         v.extra = 1
     assert not hasattr(v, "__dict__") and v.coords == (1, 0, -1, 2)
-    moved = dataclasses.replace(v, coords=(0, 1, 0, 0))
+    moved = LatticeVector(v.lattice, (0, 1, 0, 0))
     assert moved == vec(u2u, (0, 1, 0, 0)) and moved.lattice is u2u
     with pytest.raises(RankMismatch, match="U2U needs 4 coordinates, got 2"):
-        dataclasses.replace(v, coords=(1, 0))
+        LatticeVector(v.lattice, (1, 0))
     for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
         assert twin == v and hash(twin) == hash(v)
