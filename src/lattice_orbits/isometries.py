@@ -22,10 +22,11 @@ its textbook formula.
 
 Words are drawn only on Lminus and U2U, the lattices the suites sample, from
 one generator table per name (_generators) whose blocks are read off the
-split tag: short-vector reflections, block swaps, negation, and transvections
-along the U block. Every other lattice, I_s_t and the half targets included,
-is refused with NoGeneratorRecipe before anything is built. The same seed and
-length give the same matrix.
+split tag: reflections in a fixed list of roots (the window roots, and on
+Lminus the Coxeter roots of E8(2) + U(2) = E10(2)), block swaps, negation,
+and transvections along the U block. Every other lattice, I_s_t and the half
+targets included, is refused with NoGeneratorRecipe before anything is built.
+The same seed and length give the same matrix.
 
 A word is certified once, at the end, through Isometry like any other matrix.
 Each pool reflection is certified when the table is built, as the rank-one
@@ -35,14 +36,13 @@ transvection's preconditions are checked when it is drawn.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
 from . import matrix as intmat
-from .enumeration import box_walk, check_counts, short_vectors_definite
+from .enumeration import check_counts
 from .errors import (
     IsotropicReflectionVector,
     LatticeMismatch,
@@ -239,8 +239,8 @@ _SAMPLED = ("Lminus", "U2U")
 # both lattices draw every kind; the order fixes which kind each draw picks
 _KINDS = ("reflection", "transvection", "swap", "negation")
 
-_REFLECTION_NORMS = (-1, 1, -2, 2, -4, 4)
-_POOL_BOX = 3
+# the highest root of E8 on make_e8's Bourbaki simple roots
+_E8_HIGHEST_ROOT = (2, 3, 4, 6, 5, 4, 3, 2)
 
 
 def _blocks(lattice: Lattice):
@@ -255,27 +255,29 @@ def _blocks(lattice: Lattice):
     return ((r - 2, r - 1), (r, r + 1)), definite, (r - 2, r), r
 
 
-def _reflection_candidates(lattice: Lattice, windows, definite):
+def _roots(lattice: Lattice, windows, definite):
+    """(1, 1) and (1, -1) in each window, then the Coxeter roots of the E8(2) + U(2) block.
+
+    E8(2) + U(2) is E10(2), and E10 is reflective with the T_{2,3,7} diagram
+    (Vinberg, 1972). Its simple roots are the 8 unit vectors of E8(2), theta
+    + e with theta the highest root and e the first U(2) basis vector, and
+    f - e, which the U(2) window's (1, -1) already is. Those reflections
+    generate every E8(2) root reflection, and theta + e mixes the E8(2) and
+    U(2) parts of the discriminant group.
+    """
     n = lattice.rank
-    values = range(-_POOL_BOX, _POOL_BOX + 1)
-    for window in windows:
-        axes = [values if i in window else (0,) for i in range(n)]
-        yield from filter(any, box_walk(axes))
+    for a, b in windows:
+        for sign in (1, -1):
+            delta = [0] * n
+            delta[a], delta[b] = 1, sign
+            yield tuple(delta)
     for start, stop in definite:
-        block = Lattice(
-            f"{lattice.name}[{start}:{stop}]",
-            stop - start,
-            tuple(tuple(row[start:stop]) for row in lattice.gram[start:stop]),
-        )
-        for target in _REFLECTION_NORMS:
-            hits = short_vectors_definite(block, target)
-            if not hits:
-                continue
-            for small in hits:
-                delta = [0] * n
-                delta[start : start + len(small)] = small
-                yield tuple(delta)
-            break  # smallest usable norm is enough; deeper shells add thousands
+        for i in range(start, stop):
+            yield tuple(int(j == i) for j in range(n))
+        delta = [0] * n
+        delta[start:stop] = _E8_HIGHEST_ROOT
+        delta[windows[0][0]] = 1
+        yield tuple(delta)
 
 
 def _certify_rank_one(lattice: Lattice, delta, coeffs) -> None:
@@ -304,29 +306,16 @@ def _generators(name: str) -> tuple[tuple[_RowUpdate, ...], tuple[int, ...], int
     """A sampled lattice's generator table: (reflection steps, swap starts, transvection start).
 
     Built once per sampled name, its blocks read off the tag once. The pool
-    holds certified reflection steps in a deterministic order, sign-deduped;
-    each is certified as the rank-one step it is stored as.
+    holds the reflection steps of _roots in order; each is certified as the
+    rank-one step it is stored as, and a root that fails raises.
     """
     lattice = resolve(name)
     windows, definite, swaps, transvection_start = _blocks(lattice)
     pool = []
-    seen = set()
-    for delta in _reflection_candidates(lattice, windows, definite):
-        if math.gcd(*delta) != 1:  # also drops the zero vector
-            continue
-        first = next(c for c in delta if c)
-        canonical = delta if first > 0 else tuple(-x for x in delta)
-        if canonical in seen:
-            continue
-        seen.add(canonical)
-        if quadratic(lattice, canonical) not in _REFLECTION_NORMS:
-            continue
-        try:
-            coeffs = _reflection_coeffs(lattice, canonical)
-        except (IsotropicReflectionVector, NotIntegralReflection):
-            continue
-        _certify_rank_one(lattice, canonical, coeffs)  # the matrix the step stands for
-        pool.append(_reflection_step(canonical, coeffs))
+    for delta in _roots(lattice, windows, definite):
+        coeffs = _reflection_coeffs(lattice, delta)
+        _certify_rank_one(lattice, delta, coeffs)  # the matrix the step stands for
+        pool.append(_reflection_step(delta, coeffs))
     return tuple(pool), swaps, transvection_start
 
 
@@ -371,7 +360,7 @@ def sample_word(lattice: Lattice, seed: int, length: int) -> Isometry:
     The product is accumulated as mutable rows, one sparse update per step, and
     certified once when the Isometry is built. A length past MAX_WORD_LENGTH is
     refused with LimitExceeded, and a lattice other than the built-in Lminus
-    and U2U with NoGeneratorRecipe, before any pool is scanned.
+    and U2U with NoGeneratorRecipe, before any generator table is built.
     """
     check_counts(length=length)
     check_word_length(length)

@@ -7,6 +7,7 @@ python -O, which tier-1 also runs.
 
 from dataclasses import dataclass, field
 
+from lattice_orbits import isometries
 from lattice_orbits.dilatation import HalfVector, is_integral
 from lattice_orbits.errors import (
     EmptyLattice,
@@ -29,6 +30,7 @@ from lattice_orbits.lattices import (
     SplitShape,
     base_plus_i11,
     gram_terms,
+    resolve,
     signature_and_determinant,
     split_base,
 )
@@ -62,6 +64,50 @@ SAMPLING_BLOCKS = {
     "Lminus": (((8, 9), (10, 11)), ((0, 8),), (8, 10), 10),
     "U2U": (((0, 1), (2, 3)), (), (0, 2), 2),
 }
+
+
+def mod2_orbits(name: str) -> dict[tuple[int, ...], int]:
+    """The classes of L/2L that a sampled lattice's generator table joins.
+
+    Maps each nonzero class, as coordinates mod 2, to a class id. The table's
+    reflection steps and swaps join classes, as do the unit transvections
+    E(e, e_i) with e = e_t or e_{t+1}, t the transvection start: by Eichler
+    additivity, E(e, x) E(e, y) = E(e, x + y), those generate every
+    transvection the sampler draws. The negation fixes L/2L.
+    """
+    pool, swaps, start = isometries._generators(name)
+    lattice = resolve(name)
+    n = lattice.rank
+    steps = list(pool)
+    for which in (0, 1):
+        e = [int(j == start + which) for j in range(n)]
+        for i in range(n):
+            if i != start + 1 - which:  # x = e_i orthogonal to e
+                steps.append(isometries._transvection_step(lattice, e, [int(j == i) for j in range(n)]))
+
+    def images(v):  # the steps act on v as a one-column word, as sample_word applies them
+        for step in steps:
+            column = [[x] for x in v]
+            isometries._apply_update(column, step)
+            yield tuple(x % 2 for (x,) in column)
+        for s in swaps:
+            column = list(v)
+            isometries._swap_rows(column, s)
+            yield tuple(column)
+
+    classes = [tuple((m >> j) & 1 for j in range(n)) for m in range(1, 2**n)]
+    parent = {v: v for v in classes}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for v in classes:
+        for w in images(v):
+            parent[root(w)] = root(v)
+    ids = {}
+    return {v: ids.setdefault(root(v), len(ids)) for v in classes}
 
 
 class NotCharacteristic(LatticeError):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import tracemalloc
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lattice_orbits import isometries, lattices
+from lattice_orbits import enumeration, isometries, lattices
 from lattice_orbits.errors import (
     IsotropicReflectionVector,
     LatticeError,
@@ -38,8 +39,17 @@ from lattice_orbits.isometries import (
 from lattice_orbits.lattices import Lattice, inner, resolve, twisted_plus_u
 from lattice_orbits.matrix import det, freeze, mat_mul, mat_vec
 from lattice_orbits.matrix import identity as eye
+from lattice_orbits.oracle import enumerate_primitive
+from lattice_orbits.orbits import heegner_report
 from lattice_orbits.vectors import VectorType, is_primitive, norm, pair, vec, vector_type
-from support import SAMPLING_BLOCKS, textbook_reflection, textbook_swap, textbook_transvection, transpose
+from support import (
+    SAMPLING_BLOCKS,
+    mod2_orbits,
+    textbook_reflection,
+    textbook_swap,
+    textbook_transvection,
+    transpose,
+)
 
 LMINUS = resolve("Lminus")
 
@@ -279,10 +289,11 @@ def test_sample_word_refuses_a_word_past_the_cap_before_any_work(monkeypatch):
 
 
 # sha256 over f"{seed} {length} {matrix!r}\n" for seeds 0-49 and lengths 0, 1, 4,
-# 8, 16, recorded from the dense per-step product that sample_word computed
-# before words were composed as sparse row updates
+# 8, 16; U2U's was recorded from the dense per-step product that sample_word
+# computed before words were composed as sparse row updates, and Lminus's when
+# its reflection pool became the window roots and the Coxeter roots of E10(2)
 PINNED_WORD_DIGESTS = {
-    "Lminus": "bc198cb38342549b8d6e7c3eb4c07eb99cba66725d7c0a4cccefc6e784df4e44",
+    "Lminus": "81ecf6e754ceffd835c42f6077e45f5d028a6374d65fc91069fc657575c0acbb",
     "U2U": "b55a8d4ed5f8309d033869861df8eca432e4ad2e7de65616a2bc13a030ef64be",
 }
 
@@ -587,10 +598,68 @@ def _pool_entries():
 
 def test_rank_one_certificate_agrees_with_dense_reflection():
     cases = _pool_entries()
-    assert len(cases) == 124 + 4
+    assert len(cases) == 13 + 4
     for lattice, delta, coeffs in cases:
         isometries._certify_rank_one(lattice, delta, coeffs)
         assert textbook_reflection(lattice, delta) == _rank_one_rows(delta, coeffs)
+
+
+def test_lminus_roots_are_the_window_roots_and_the_coxeter_roots_of_e10_2():
+    # theta is the unique E8 root of greatest coefficient sum, found by the
+    # enumerator, an oracle independent of the table's literal
+    roots = enumeration.short_vectors_definite(resolve("E8"), -2)
+    best = max(map(sum, roots))
+    [theta] = [r for r in roots if sum(r) == best]
+    assert theta == isometries._E8_HIGHEST_ROOT
+    windows = [(0,) * 8 + (1, 1, 0, 0), (0,) * 8 + (1, -1, 0, 0), (0,) * 10 + (1, 1), (0,) * 10 + (1, -1)]
+    units = [tuple(int(j == i) for j in range(12)) for i in range(8)]
+    pool = [_step_terms(step, 12)[0] for step in isometries._generators("Lminus")[0]]
+    assert pool == windows + units + [theta + (1, 0, 0, 0)]
+
+
+def test_generator_tables_are_built_without_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator table walked a box or a shell")
+
+    for name in ("box_walk", "short_vectors_definite"):
+        for module in (enumeration, isometries):
+            if hasattr(module, name):  # a module that imports the walker holds its own name
+                monkeypatch.setattr(module, name, refuse)
+    for name in sorted(SAMPLING_BLOCKS):
+        assert isometries._generators.__wrapped__(name) == isometries._generators(name)
+
+
+@functools.cache
+def _mod2_orbits(name):  # two tests read the Lminus classes, 0.5 s to build
+    return mod2_orbits(name)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLING_BLOCKS))
+def test_generator_table_joins_l_mod_2l_into_the_invariant_classes(name):
+    # the invariants of a nonzero class v of L/2L: whether v is in the radical
+    # of the form mod 2, then <v, v>/4 mod 2 if it is and <v, v>/2 mod 2 if not
+    lattice = resolve(name)
+    pairs = set()
+    for v, orbit in _mod2_orbits(name).items():
+        radical = all(x % 2 == 0 for x in lattices.gram_vec(lattice, v))
+        pairs.add((orbit, radical, lattices.quadratic(lattice, v) // (4 if radical else 2) % 2))
+    assert len(pairs) == len({orbit for orbit, _, _ in pairs}) == len({p[1:] for p in pairs}) == 4
+
+
+@pytest.mark.parametrize(
+    "name, bound, ns",
+    # the bound-1 Lminus box holds no primitive vector of norm 8
+    [("Lminus", 1, range(-4, 4)), ("U2U", 3, range(-4, 5))],
+)
+def test_heegner_components_are_the_mod2_classes_their_vectors_meet(name, bound, ns):
+    # a mod-2 shadow of the theorem that does not go through classify: one
+    # orbit for odd n, ordinary and characteristic for even n
+    classes = _mod2_orbits(name)
+    lattice = resolve(name)
+    for n in ns:
+        scan = enumerate_primitive(lattice, bound, 2 * n)
+        met = {classes[tuple(c % 2 for c in v.coords)] for v in scan.vectors}
+        assert len(met) == len(heegner_report(n).components), n
 
 
 def test_rank_one_certificate_refuses_a_corrupted_entry():
